@@ -21,7 +21,7 @@ use datasync_serve::{ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Throughput measurement for one phase.
 #[derive(Debug, Clone, Copy)]
@@ -144,6 +144,20 @@ fn aggregate_hash(response: &str) -> String {
         .unwrap_or_default()
 }
 
+/// Polls `/stats` until the server reports an admitted sweep
+/// (`in_flight >= 1`) or `holder` has already finished, so the storm
+/// fired next cannot win the admission race against the holder it is
+/// meant to be shed behind.
+fn await_admission(addr: SocketAddr, holder: &std::thread::JoinHandle<String>) {
+    while !holder.is_finished() {
+        let stats = request(addr, "GET", "/stats", "");
+        if summary_u64(&stats, "in_flight") >= 1 {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 fn temp_dir(tag: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("datasync-serve-bench-{tag}-{}", std::process::id()));
@@ -251,6 +265,7 @@ pub fn run(quick: bool) -> ServeBenchReport {
     let holder = std::thread::spawn(move || {
         request(storm_addr, "POST", "/sweep", "{\"iterations\": [80], \"processors\": [8]}")
     });
+    await_admission(storm_addr, &holder);
     let storm_requests = if quick { 20u64 } else { 60 };
     let mut storm_shed = 0u64;
     for i in 0..storm_requests {

@@ -190,8 +190,11 @@ mod tests {
                     if pid >= 200 {
                         return;
                     }
-                    scs.advance(0, pid);
+                    // Record inside the ordered region: once iteration
+                    // pid - 1 has advanced and before this one does.
+                    scs.await_sc(0, pid, 1);
                     log.lock().unwrap().push(pid);
+                    scs.advance(0, pid);
                 });
             }
         });

@@ -569,6 +569,20 @@ mod tests {
         response.split("\r\n\r\n").nth(1).unwrap_or("")
     }
 
+    /// Polls `/stats` until the server reports an admitted sweep
+    /// (`in_flight >= 1`) or `holder` has already finished, so a storm
+    /// fired next cannot win the admission race against the holder.
+    fn await_admission(addr: SocketAddr, holder: &std::thread::JoinHandle<String>) {
+        while !holder.is_finished() {
+            let stats = request(addr, "GET", "/stats", "");
+            let doc = json::parse(body_of(&stats)).expect("stats JSON");
+            if doc.get("in_flight").and_then(json::Json::as_u64).expect("in_flight") >= 1 {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn healthz_stats_and_404_routes_answer() {
         let cfg = config("routes");
@@ -700,7 +714,9 @@ mod tests {
         let holder = std::thread::spawn(move || {
             request(addr, "POST", "/sweep", r#"{"iterations": [64], "processors": [8]}"#)
         });
-        // ...then storm the valve until a shed is observed.
+        // ...then, once it is admitted, storm the valve until a shed is
+        // observed.
+        await_admission(addr, &holder);
         let mut saw_shed = false;
         for _ in 0..200 {
             let resp = request(addr, "POST", "/sweep", r#"{"iterations": [6]}"#);

@@ -2,42 +2,44 @@
 //! global state and every processor's local image.
 //!
 //! The paper's §6 argues for a **dedicated** synchronization bus with
-//! per-processor local images. This module makes that interconnect a
-//! swappable backend behind the [`SyncFabric`] trait:
+//! per-processor local images. Every bus transport here is one engine
+//! over an array of **broadcast domains** — each a bus with its own
+//! FIFO and arbiter serving a contiguous processor range — plus an
+//! optional **bridge** that joins the domains:
 //!
-//! * [`DedicatedBus`] — the paper's hardware and the default: a
-//!   separate bus, posted broadcasts, local-image spinning at zero
-//!   traffic. Bit-identical to the pre-fabric simulator.
-//! * [`SharedDataBus`] — no dedicated hardware: broadcasts arbitrate
-//!   against data traffic for the one physical bus (data has priority,
-//!   and a broadcast in flight blocks data grants). Quantifies what §6's
-//!   dedicated bus actually buys.
+//! * [`DedicatedBus`] — the paper's hardware and the default: one
+//!   domain spanning every processor, no bridge. Posted broadcasts,
+//!   local-image spinning at zero traffic.
+//! * [`SharedDataBus`] — no dedicated hardware: the same one-domain
+//!   engine, but its broadcasts arbitrate against data traffic for the
+//!   one physical bus (data has priority, and a broadcast in flight
+//!   blocks data grants). Quantifies what §6's dedicated bus buys.
+//! * [`FabricKind::Clustered`] — the two-level hierarchy for large P:
+//!   the dedicated-bus engine over one domain per cluster, arbitrating
+//!   independently, plus the bridge. A completed domain broadcast
+//!   delivers to its own cluster's images and submits the variable to
+//!   the bridge, which folds same-variable updates within a coalescing
+//!   window and forwards one broadcast to every image. Because sync
+//!   variables are monotone counters and a forward re-reads the global
+//!   value at delivery, folding partial barrier/SC/PC counts into one
+//!   forward is lossless — the aggregation that keeps the bridge off
+//!   the critical path at P=1024+.
 //! * [`IdealFabric`] — a zero-latency oracle: posts and RMWs perform
 //!   globally and in every image the instant they issue, at zero
-//!   occupancy and immune to sync-path faults. The upper bound any
-//!   interconnect could approach.
-//! * [`ClusteredFabric`] — a two-level hierarchy for large P: per-cluster
-//!   dedicated buses with independent arbitration deliver to their own
-//!   cluster's images, then submit the variable to a bridge that batches
-//!   same-variable updates within a coalescing window before forwarding
-//!   one broadcast to every cluster. Because sync variables are monotone
-//!   counters and the bridge re-reads the global value at delivery,
-//!   folding partial barrier/SC/PC counts into one forward is lossless —
-//!   the aggregation that keeps the bridge off the critical path at
-//!   P=1024+.
+//!   occupancy and immune to sync-path faults. It never queues, so its
+//!   domain stays empty. The upper bound any interconnect could
+//!   approach.
 //!
 //! Backends are stateless: all transport state (global values, images,
-//! the broadcast queue, deferred image updates, sequence tags) lives in
-//! [`SyncState`], owned by the machine, so the fast-forward and
+//! the domains, the bridge, deferred image updates, sequence tags)
+//! lives in [`SyncState`], owned by the machine, so the fast-forward and
 //! reference steppers dispatch through one interface and the
 //! equivalence suite proves them bit-identical per fabric. Sync-path
 //! fault injection (drops, delays, reorders, stale/lost images) and the
-//! NACK/retransmit recovery path operate on the queued-broadcast
-//! machinery and therefore apply to the bus backends only; the oracle
-//! has no queue to fault. On the clustered fabric the queue faults hit
-//! the per-cluster buses, and the per-image loss/stale faults apply to
-//! both cluster-local and bridge deliveries, so the recovery ladder is
-//! exercised across the bridge too.
+//! NACK/retransmit recovery path operate on the domain buses, so they
+//! apply to every bus fabric and not to the oracle; the per-image
+//! loss/stale faults also hit bridge deliveries, so the recovery ladder
+//! is exercised across the bridge too.
 
 use super::Machine;
 use crate::config::FabricKind;
@@ -99,72 +101,42 @@ pub(crate) struct VarLanes {
     pub(crate) applied_seq: Vec<u64>,
 }
 
-/// Two-level transport state for the [`ClusteredFabric`]: the
-/// per-cluster broadcast queues/buses and the bridge between them.
-/// `None` on flat fabrics (allocated once at machine setup).
-///
-/// The bridge pipeline per completed cluster broadcast:
-/// cluster bus → coalescing `window` (folds same-variable followers) →
-/// `bridge_queue` → `bridge_active` (one forward at a time, delivering
-/// the *current* global value to every image).
+/// One broadcast domain: a sync bus with its own arbiter, serving a
+/// contiguous processor range (see [`SyncState::domain_range`]).
+#[derive(Debug, Default)]
+pub(crate) struct Domain {
+    /// Broadcasts waiting for this domain's bus.
+    pub(crate) queue: VecDeque<QueuedSync>,
+    /// The broadcast holding the bus, with its end cycle.
+    pub(crate) active: Option<(QueuedSync, u64)>,
+}
+
+/// The bridge joining the domains of a [`FabricKind::Clustered`]
+/// fabric. Its pipeline per completed domain broadcast: coalescing
+/// `window` (folds same-variable followers) → `queue` → `active` (one
+/// forward at a time, delivering the *current* global value to every
+/// image).
 #[derive(Debug)]
-pub(crate) struct ClusterState {
-    /// Number of per-cluster buses.
-    pub(crate) clusters: usize,
-    /// Processors per cluster (`procs / clusters`).
-    pub(crate) cluster_size: usize,
+pub(crate) struct Bridge {
     /// Cycles the bridge holds its channel per forward.
-    pub(crate) bridge_latency: u64,
+    pub(crate) latency: u64,
     /// Cycles a first submission waits for same-variable followers.
     pub(crate) coalesce_window: u64,
-    /// Broadcasts waiting for each cluster's bus.
-    pub(crate) queues: Vec<VecDeque<QueuedSync>>,
-    /// The broadcast holding each cluster's bus, with its end cycle.
-    pub(crate) actives: Vec<Option<(QueuedSync, u64)>>,
     /// Coalescing window: `(var, flush_cycle)` in submission order.
     /// Flush cycles are non-decreasing (every entry waits the same
     /// window), so the front is always the earliest.
     pub(crate) window: VecDeque<(SyncVar, u64)>,
     /// Variables flushed from the window, waiting for the bridge.
-    pub(crate) bridge_queue: VecDeque<SyncVar>,
+    pub(crate) queue: VecDeque<SyncVar>,
     /// The forward holding the bridge, with its end cycle.
-    pub(crate) bridge_active: Option<(SyncVar, u64)>,
+    pub(crate) active: Option<(SyncVar, u64)>,
     /// Per-variable flag: a forward of this variable is pending
     /// somewhere in window/queue/active, so a new submission folds into
     /// it (O(1) membership instead of scanning the pipeline).
-    pub(crate) bridge_pending: Vec<bool>,
-    /// Total entries across queues, actives, window, bridge queue and
-    /// bridge active — 0 iff the whole two-level transport is idle,
-    /// giving `finished`/`deadlocked`/the fast-forward horizon an O(1)
-    /// idle check.
-    pub(crate) inflight: usize,
+    pub(crate) pending: Vec<bool>,
 }
 
-impl ClusterState {
-    fn new(procs: usize, n_vars: usize, clusters: u32, bridge_latency: u32, window: u32) -> Self {
-        let clusters = (clusters as usize).max(1);
-        debug_assert!(procs.is_multiple_of(clusters), "validate() guarantees clusters divides P");
-        Self {
-            clusters,
-            cluster_size: procs / clusters,
-            bridge_latency: u64::from(bridge_latency.max(1)),
-            coalesce_window: u64::from(window),
-            queues: vec![VecDeque::new(); clusters], // alloc-ok: setup
-            actives: vec![None; clusters],           // alloc-ok: setup
-            window: VecDeque::new(),
-            bridge_queue: VecDeque::new(),
-            bridge_active: None,
-            bridge_pending: vec![false; n_vars], // alloc-ok: setup
-            inflight: 0,
-        }
-    }
-
-    /// Cluster owning processor `p`.
-    #[inline]
-    pub(crate) fn cluster_of(&self, p: usize) -> usize {
-        p / self.cluster_size
-    }
-
+impl Bridge {
     /// Earliest window flush cycle (`u64::MAX` when the window is
     /// empty).
     #[inline]
@@ -174,14 +146,14 @@ impl ClusterState {
 }
 
 /// All synchronization-transport state: the authoritative global
-/// values, per-processor local images, the broadcast queue, and the
-/// deferred-image and sequence-tag machinery faults and recovery hang
-/// off. Owned by the machine; backends are stateless.
+/// values, per-processor local images, the broadcast domains and
+/// bridge, and the deferred-image and sequence-tag machinery faults
+/// and recovery hang off. Owned by the machine; backends are stateless.
 ///
 /// Local images live in one flat **var-major** block
 /// (`images[var * procs + p]`), so a broadcast delivery to all P
 /// consumers is one contiguous lane fill instead of P strided stores —
-/// see [`Machine::write_sync`].
+/// see [`Machine::deliver_images`].
 #[derive(Debug)]
 pub(crate) struct SyncState {
     /// Per-variable lanes (global values, applied sequence tags).
@@ -190,10 +162,18 @@ pub(crate) struct SyncState {
     images: Vec<u64>,
     /// Processor count (the images' minor stride).
     procs: usize,
-    /// Broadcasts waiting for the sync bus.
-    pub(crate) queue: VecDeque<QueuedSync>,
-    /// The broadcast currently holding the bus, with its end cycle.
-    pub(crate) active: Option<(QueuedSync, u64)>,
+    /// The broadcast domains: one on flat fabrics, one per cluster on
+    /// [`FabricKind::Clustered`].
+    pub(crate) domains: Vec<Domain>,
+    /// Processors per domain.
+    domain_size: usize,
+    /// The bridge between domains ([`FabricKind::Clustered`] only).
+    pub(crate) bridge: Option<Bridge>,
+    /// Total entries across every domain's queue and active slot and
+    /// the bridge's window, queue and active slot — 0 iff the whole
+    /// transport is idle, giving `finished`/`deadlocked`/the
+    /// fast-forward horizon an O(1) idle check.
+    pub(crate) inflight: usize,
     /// Next sync-message issue tag (see [`QueuedSync::seq`]).
     pub(crate) seq: u64,
     /// Deferred local-image updates per processor: `(apply_cycle, var,
@@ -201,7 +181,7 @@ pub(crate) struct SyncState {
     /// they were performed globally, just late.
     pub(crate) defer: Vec<VecDeque<(u64, SyncVar, u64)>>,
     /// Total entries across all `defer` queues; 0 lets
-    /// [`Machine::write_sync`] take the batched lane-fill path.
+    /// [`Machine::deliver_images`] take the batched lane-fill path.
     defer_len: usize,
     /// Earliest due cycle across all `defer` queues (`u64::MAX` when
     /// every queue is empty), so quiescent processors cost nothing in
@@ -212,48 +192,68 @@ pub(crate) struct SyncState {
     /// already-stepped spinners may now be too late, so the stepper must
     /// re-arm them. Cleared by the stepper each cycle.
     pub(crate) images_touched: bool,
-    /// Two-level transport state ([`ClusteredFabric`] only; `None` on
-    /// flat fabrics, whose behaviour is untouched).
-    pub(crate) cluster: Option<Box<ClusterState>>,
 }
 
 impl SyncState {
-    /// Fresh transport state for `p` processors and `n_vars` variables.
-    pub(crate) fn new(p: usize, n_vars: usize) -> Self {
+    /// Fresh transport state for `p` processors and `n_vars` variables
+    /// on `fabric`: one domain per cluster plus the bridge when
+    /// clustered, one domain spanning every processor otherwise.
+    pub(crate) fn new(p: usize, n_vars: usize, fabric: FabricKind) -> Self {
+        let (domains, bridge) = match fabric {
+            FabricKind::Clustered { clusters, bridge_latency, coalesce_window } => {
+                let bridge = Bridge {
+                    latency: u64::from(bridge_latency.max(1)),
+                    coalesce_window: u64::from(coalesce_window),
+                    window: VecDeque::new(),
+                    queue: VecDeque::new(),
+                    active: None,
+                    pending: vec![false; n_vars], // alloc-ok: setup
+                };
+                ((clusters as usize).max(1), Some(bridge))
+            }
+            _ => (1, None),
+        };
+        debug_assert!(p.is_multiple_of(domains), "validate() guarantees clusters divides P");
         Self {
             vars: VarLanes { global: vec![0; n_vars], applied_seq: vec![0; n_vars] }, // alloc-ok: setup
             images: vec![0; n_vars * p], // alloc-ok: setup
             procs: p,
-            queue: VecDeque::new(),
-            active: None,
+            domains: (0..domains).map(|_| Domain::default()).collect(), // alloc-ok: setup
+            domain_size: p / domains,
+            bridge,
+            inflight: 0,
             seq: 0,
             defer: vec![VecDeque::new(); p], // alloc-ok: setup
             defer_len: 0,
             due_min: u64::MAX,
             images_touched: false,
-            cluster: None,
         }
-    }
-
-    /// Installs the two-level transport state for a
-    /// [`FabricKind::Clustered`] machine (setup only).
-    pub(crate) fn install_clusters(&mut self, clusters: u32, bridge_latency: u32, window: u32) {
-        let n_vars = self.n_vars();
-        self.cluster =
-            Some(Box::new(ClusterState::new(self.procs, n_vars, clusters, bridge_latency, window)));
-        // alloc-ok: setup
-    }
-
-    /// True when the two-level transport (if any) holds no in-flight
-    /// work. Always true on flat fabrics.
-    #[inline]
-    pub(crate) fn clusters_idle(&self) -> bool {
-        self.cluster.as_ref().is_none_or(|cl| cl.inflight == 0)
     }
 
     /// Number of synchronization variables.
     pub(crate) fn n_vars(&self) -> usize {
         self.vars.global.len()
+    }
+
+    /// The domain whose bus carries processor `p`'s broadcasts.
+    #[inline]
+    pub(crate) fn domain_of(&self, p: usize) -> usize {
+        p / self.domain_size
+    }
+
+    /// The processors `lo..hi` whose images domain `d` delivers to.
+    #[inline]
+    pub(crate) fn domain_range(&self, d: usize) -> (usize, usize) {
+        (d * self.domain_size, (d + 1) * self.domain_size)
+    }
+
+    /// Queues a broadcast on `proc`'s domain bus. Recovery
+    /// retransmissions go through here too, so a NACKing processor's
+    /// refresh rides its own domain and heals that domain's images.
+    pub(crate) fn enqueue(&mut self, proc: usize, msg: QueuedSync) {
+        let d = self.domain_of(proc);
+        self.domains[d].queue.push_back(msg);
+        self.inflight += 1;
     }
 
     /// Processor `p`'s local image of `var`.
@@ -279,8 +279,8 @@ impl SyncState {
         self.vars.global.resize(n, 0); // alloc-ok: setup
         self.vars.applied_seq.resize(n, 0); // alloc-ok: setup
         self.images.resize(n * self.procs, 0); // alloc-ok: setup
-        if let Some(cl) = &mut self.cluster {
-            cl.bridge_pending.resize(n, false); // alloc-ok: setup
+        if let Some(bridge) = &mut self.bridge {
+            bridge.pending.resize(n, false); // alloc-ok: setup
         }
     }
 
@@ -310,7 +310,8 @@ impl SyncState {
 ///
 /// Backends are stateless unit structs ([`FabricKind::backend`] hands
 /// out `&'static` instances); all mutable transport state lives in the
-/// machine's [`SyncState`]. Every method runs only at stepped
+/// machine's [`SyncState`]. The provided methods are the domain engine
+/// every bus fabric shares. Every method runs only at stepped
 /// (non-quiet) cycles, which is what keeps the fast-forward and
 /// reference steppers bit-identical per fabric.
 pub trait SyncFabric: std::fmt::Debug + Sync {
@@ -325,19 +326,26 @@ pub trait SyncFabric: std::fmt::Debug + Sync {
 
     /// Issues a posted write of `val` to `var` from `proc`. Posted
     /// writes never block the issuing processor.
-    fn post(&self, m: &mut Machine<'_>, proc: usize, var: SyncVar, val: u64);
+    fn post(&self, m: &mut Machine<'_>, proc: usize, var: SyncVar, val: u64) {
+        m.post_sync_write(proc, var, val);
+    }
 
     /// Issues an atomic fetch-increment on `var` from `proc`. Returns
     /// `true` when the operation completed instantly (the processor
     /// does not block on the sync bus).
-    fn rmw(&self, m: &mut Machine<'_>, proc: usize, var: SyncVar) -> bool;
+    fn rmw(&self, m: &mut Machine<'_>, proc: usize, var: SyncVar) -> bool {
+        m.enqueue_rmw(proc, var);
+        false
+    }
 
     /// Arbitrates pending broadcasts for this cycle, granting at most
-    /// one.
-    fn grant(&self, m: &mut Machine<'_>);
+    /// one per domain bus and one bridge forward.
+    fn grant(&self, m: &mut Machine<'_>) {
+        m.grant_sync(false);
+    }
 
-    /// Completes a broadcast whose bus tenure ends this cycle,
-    /// delivering it (or re-queueing it under an injected drop).
+    /// Completes the broadcasts whose tenure ends this cycle,
+    /// delivering each (or re-queueing it under an injected drop).
     fn complete(&self, m: &mut Machine<'_>) {
         m.complete_sync();
     }
@@ -345,26 +353,15 @@ pub trait SyncFabric: std::fmt::Debug + Sync {
 
 /// The paper's §6 hardware: a dedicated synchronization bus, physically
 /// separate from the data bus, broadcasting posted writes to
-/// per-processor local images.
+/// per-processor local images. Also the engine behind
+/// [`FabricKind::Clustered`], whose per-cluster domains and bridge live
+/// in the machine's transport state.
 #[derive(Debug)]
 pub struct DedicatedBus;
 
 impl SyncFabric for DedicatedBus {
     fn kind(&self) -> FabricKind {
         FabricKind::Dedicated
-    }
-
-    fn post(&self, m: &mut Machine<'_>, proc: usize, var: SyncVar, val: u64) {
-        m.post_sync_write(proc, var, val);
-    }
-
-    fn rmw(&self, m: &mut Machine<'_>, proc: usize, var: SyncVar) -> bool {
-        m.enqueue_rmw(proc, var);
-        false
-    }
-
-    fn grant(&self, m: &mut Machine<'_>) {
-        m.grant_sync_queue(false);
     }
 }
 
@@ -385,22 +382,13 @@ impl SyncFabric for SharedDataBus {
         true
     }
 
-    fn post(&self, m: &mut Machine<'_>, proc: usize, var: SyncVar, val: u64) {
-        m.post_sync_write(proc, var, val);
-    }
-
-    fn rmw(&self, m: &mut Machine<'_>, proc: usize, var: SyncVar) -> bool {
-        m.enqueue_rmw(proc, var);
-        false
-    }
-
     fn grant(&self, m: &mut Machine<'_>) {
         // Data traffic was granted first this cycle (priority); the
         // bus must be entirely free for a broadcast to start.
         if m.mem.active.is_some() {
             return;
         }
-        m.grant_sync_queue(true);
+        m.grant_sync(true);
     }
 }
 
@@ -429,61 +417,28 @@ impl SyncFabric for IdealFabric {
     }
 
     fn grant(&self, m: &mut Machine<'_>) {
-        debug_assert!(m.sync.queue.is_empty(), "the oracle never queues broadcasts");
+        debug_assert_eq!(m.sync.inflight, 0, "the oracle never queues broadcasts");
     }
 
     fn complete(&self, m: &mut Machine<'_>) {
-        debug_assert!(m.sync.active.is_none(), "the oracle never holds a bus");
-    }
-}
-
-/// The two-level hierarchy for large P: per-cluster dedicated buses
-/// joined by a coalescing bridge (see [`ClusterState`] for the
-/// pipeline). Like every backend it is stateless — the geometry
-/// (cluster count, bridge latency, coalescing window) is read from the
-/// machine's [`FabricKind::Clustered`] config at setup and lives in
-/// [`SyncState::cluster`].
-#[derive(Debug)]
-pub struct ClusteredFabric;
-
-impl SyncFabric for ClusteredFabric {
-    fn kind(&self) -> FabricKind {
-        // Representative tag: the live geometry is per-machine config,
-        // not backend state.
-        FabricKind::clustered(4)
-    }
-
-    fn post(&self, m: &mut Machine<'_>, proc: usize, var: SyncVar, val: u64) {
-        m.post_sync_clustered(proc, var, val);
-    }
-
-    fn rmw(&self, m: &mut Machine<'_>, proc: usize, var: SyncVar) -> bool {
-        m.enqueue_rmw_clustered(proc, var);
-        false
-    }
-
-    fn grant(&self, m: &mut Machine<'_>) {
-        m.grant_clustered();
-    }
-
-    fn complete(&self, m: &mut Machine<'_>) {
-        m.complete_clustered();
+        debug_assert_eq!(m.sync.inflight, 0, "the oracle never holds a bus");
     }
 }
 
 static DEDICATED: DedicatedBus = DedicatedBus;
 static SHARED: SharedDataBus = SharedDataBus;
 static IDEAL: IdealFabric = IdealFabric;
-static CLUSTERED: ClusteredFabric = ClusteredFabric;
 
 impl FabricKind {
-    /// The stateless backend instance implementing this kind.
+    /// The stateless backend instance implementing this kind. A
+    /// clustered geometry runs the dedicated-bus engine: its domains
+    /// and bridge are transport state ([`SyncState::new`]), not backend
+    /// behaviour.
     pub(crate) fn backend(self) -> &'static dyn SyncFabric {
         match self {
-            FabricKind::Dedicated => &DEDICATED,
+            FabricKind::Dedicated | FabricKind::Clustered { .. } => &DEDICATED,
             FabricKind::Shared => &SHARED,
             FabricKind::Ideal => &IDEAL,
-            FabricKind::Clustered { .. } => &CLUSTERED,
         }
     }
 }
@@ -494,15 +449,16 @@ impl<'a> Machine<'a> {
         self.sync.seq
     }
 
-    /// Queues a posted sync write, coalescing into an already-queued
-    /// post to the same variable from the same processor when enabled
-    /// (Section 6 optimization).
+    /// Queues a posted sync write on the issuing processor's domain
+    /// bus, coalescing into an already-queued post to the same variable
+    /// from the same processor when enabled (Section 6 optimization).
     pub(crate) fn post_sync_write(&mut self, proc: usize, var: SyncVar, val: u64) {
         self.metrics.sync_vars[var].posts += 1;
         self.stats.sync_ops_issued += 1;
         let seq = self.next_sync_seq();
         if self.config.coalesce_sync_writes {
-            for pending in self.sync.queue.iter_mut() {
+            let d = self.sync.domain_of(proc);
+            for pending in self.sync.domains[d].queue.iter_mut() {
                 if pending.refresh {
                     // Never fold a real post into a refresh: the refresh
                     // re-reads global at delivery and would drop `val`.
@@ -520,16 +476,14 @@ impl<'a> Machine<'a> {
                 }
             }
         }
-        self.sync
-            .queue
-            .push_back(QueuedSync::new(SyncReq::Post { proc, var, val }, seq));
+        self.sync.enqueue(proc, QueuedSync::new(SyncReq::Post { proc, var, val }, seq));
     }
 
     /// Queues an atomic fetch-increment broadcast from `proc`.
     pub(crate) fn enqueue_rmw(&mut self, proc: usize, var: SyncVar) {
         self.stats.sync_ops_issued += 1;
         let seq = self.next_sync_seq();
-        self.sync.queue.push_back(QueuedSync::new(SyncReq::Rmw { proc, var }, seq));
+        self.sync.enqueue(proc, QueuedSync::new(SyncReq::Rmw { proc, var }, seq));
     }
 
     /// Performs a sync write instantly — globally and in every image —
@@ -548,17 +502,35 @@ impl<'a> Machine<'a> {
         self.note_progress();
     }
 
-    /// Grants the sync bus to the next queued broadcast, modelling the
-    /// faulty-arbiter reordering and injected grant delays. With
-    /// `shared_bus`, the grant's tenure is also charged to the data-bus
-    /// occupancy counter — it is the same physical bus.
-    pub(crate) fn grant_sync_queue(&mut self, shared_bus: bool) {
-        if self.sync.active.is_some() {
+    /// One arbitration pass of the domain engine: flush the bridge's
+    /// coalescing window, grant each idle domain bus in index order,
+    /// then grant the bridge. Domains arbitrate independently — with
+    /// more than one, this is where the flat bus's P-wide serialization
+    /// disappears. With `shared_bus`, each grant's tenure is also
+    /// charged to the data-bus occupancy counter — it is the same
+    /// physical bus.
+    pub(crate) fn grant_sync(&mut self, shared_bus: bool) {
+        if self.sync.inflight == 0 {
+            return;
+        }
+        self.flush_bridge_window();
+        for d in 0..self.sync.domains.len() {
+            self.grant_domain(d, shared_bus);
+        }
+        self.grant_bridge();
+    }
+
+    /// Grants domain `d`'s bus to its next queued broadcast, modelling
+    /// the faulty-arbiter reordering and injected grant delays (each
+    /// domain has its own arbiter and draws its own faults).
+    fn grant_domain(&mut self, d: usize, shared_bus: bool) {
+        if self.sync.domains[d].active.is_some() {
             return;
         }
         let f = self.config.faults;
+        let queued = self.sync.domains[d].queue.len();
         let picked = if f.broadcast_reorder_pct > 0
-            && self.sync.queue.len() >= 2
+            && queued >= 2
             && self.rng.chance_pct(f.broadcast_reorder_pct)
         {
             // Faulty arbiter: grant a younger message. The overtaken
@@ -566,281 +538,67 @@ impl<'a> Machine<'a> {
             // cycle, so its recovery latency is measured end-to-end.
             self.stats.faults.reordered_broadcasts += 1;
             self.record_fault(None, FaultClass::BroadcastReorder, 0);
-            if let Some(head) = self.sync.queue.front_mut() {
+            let cycle = self.cycle;
+            let ix = self.rng.range_usize(1, queued - 1);
+            let queue = &mut self.sync.domains[d].queue;
+            if let Some(head) = queue.front_mut() {
                 head.faulted = true;
-                head.first_grant.get_or_insert(self.cycle);
+                head.first_grant.get_or_insert(cycle);
             }
-            let ix = self.rng.range_usize(1, self.sync.queue.len() - 1);
-            self.sync.queue.remove(ix)
+            queue.remove(ix)
         } else {
-            self.sync.queue.pop_front()
+            self.sync.domains[d].queue.pop_front()
         };
-        if let Some(mut entry) = picked {
-            // Recovery refreshes occupy the bus but are not counted as
-            // broadcasts: they re-deliver an already-performed value,
-            // and counting them would break the conservation identity
-            // (issued == broadcasts + coalesced) whenever a legitimate
-            // fault-free NACK fires.
-            if !entry.refresh {
-                self.stats.sync_broadcasts += 1;
-            }
-            if let SyncReq::Rmw { .. } = entry.req {
-                self.stats.rmw_ops += 1;
-            }
-            entry.first_grant.get_or_insert(self.cycle);
-            let mut dur = u64::from(self.config.sync_bus_latency);
-            if f.broadcast_delay_pct > 0 && self.rng.chance_pct(f.broadcast_delay_pct) {
-                let extra = u64::from(self.rng.range_u32(1, f.broadcast_delay_max));
-                dur += extra;
-                entry.faulted = true;
-                self.stats.faults.delayed_broadcasts += 1;
-                self.stats.faults.delay_cycles += extra;
-                self.record_fault(None, FaultClass::BroadcastDelay, extra);
-            }
-            let (var, rmw) = match entry.req {
-                SyncReq::Post { var, .. } => (var, false),
-                SyncReq::Rmw { var, .. } => (var, true),
-            };
-            self.metrics.sync_bus_busy += dur;
-            if shared_bus {
-                // One physical bus: these cycles are lost to data
-                // traffic too.
-                self.metrics.data_bus_busy += dur;
-            }
-            self.events.record(self.cycle, SimEventKind::SyncGrant { var, rmw, dur });
-            self.sync.active = Some((entry, self.cycle + dur));
-            self.note_progress();
+        let Some(mut entry) = picked else { return };
+        // Recovery refreshes occupy the bus but are not counted as
+        // broadcasts: they re-deliver an already-performed value, and
+        // counting them would break the conservation identity (issued ==
+        // broadcasts + coalesced) whenever a legitimate fault-free NACK
+        // fires.
+        if !entry.refresh {
+            self.stats.sync_broadcasts += 1;
         }
-    }
-
-    /// Completes the broadcast whose bus tenure ends this cycle:
-    /// re-queues it under an injected drop, discards it as stale if a
-    /// newer write already performed, or delivers it (a refresh
-    /// re-reading the current global value).
-    pub(crate) fn complete_sync(&mut self) {
-        let Some((entry, end)) = self.sync.active else { return };
-        if end != self.cycle {
-            return;
+        if let SyncReq::Rmw { .. } = entry.req {
+            self.stats.rmw_ops += 1;
         }
-        self.sync.active = None;
-        let f = self.config.faults;
-        if f.broadcast_drop_pct > 0
-            && entry.redeliveries < f.max_redeliveries
-            && self.rng.chance_pct(f.broadcast_drop_pct)
-        {
-            // Lost broadcast: re-queue for (bounded) redelivery.
-            self.stats.faults.dropped_broadcasts += 1;
-            self.record_fault(None, FaultClass::BroadcastDrop, 0);
-            self.sync.queue.push_back(QueuedSync {
-                redeliveries: entry.redeliveries + 1,
-                faulted: true,
-                ..entry
-            });
-        } else {
-            if entry.faulted {
-                if let Some(first) = entry.first_grant {
-                    let fault_free = first + u64::from(self.config.sync_bus_latency);
-                    let rec = self.cycle.saturating_sub(fault_free);
-                    self.stats.faults.recovery_cycles += rec;
-                    self.stats.faults.recovery_max = self.stats.faults.recovery_max.max(rec);
-                }
-            }
-            match entry.req {
-                SyncReq::Post { var, .. } if entry.refresh => {
-                    // A refresh heals images from the *current* global
-                    // value (a payload captured at NACK time could have
-                    // been overtaken by an RMW granted since, and
-                    // re-applying it would regress the counter). It is
-                    // not a write: it never advances `applied_seq` — a
-                    // refresh outrunning an older-seq real post still in
-                    // flight would otherwise get that post discarded as
-                    // stale, losing the write — and cannot itself be
-                    // stale.
-                    let val = self.sync.vars.global[var];
-                    self.events
-                        .record(self.cycle, SimEventKind::SyncDeliver { var, val, stale: false });
-                    self.write_sync(var, val);
-                }
-                SyncReq::Post { var, val, .. } => {
-                    let stale = entry.seq <= self.sync.vars.applied_seq[var];
-                    self.events.record(self.cycle, SimEventKind::SyncDeliver { var, val, stale });
-                    if !stale {
-                        self.sync.vars.applied_seq[var] = entry.seq;
-                        self.write_sync(var, val);
-                    } else {
-                        // A drop or reorder let a newer write to
-                        // this variable perform first: this late
-                        // delivery is stale and must be discarded,
-                        // not applied (sync variables are
-                        // monotonic counters; regressing one would
-                        // wedge every waiter past the lost value).
-                        self.stats.faults.stale_deliveries_discarded += 1;
-                    }
-                }
-                SyncReq::Rmw { proc, var } => {
-                    self.sync.vars.applied_seq[var] =
-                        self.sync.vars.applied_seq[var].max(entry.seq);
-                    let v = self.sync.vars.global[var] + 1;
-                    self.events.record(
-                        self.cycle,
-                        SimEventKind::SyncDeliver { var, val: v, stale: false },
-                    );
-                    self.write_sync(var, v);
-                    self.unblock(proc);
-                }
-            }
-            self.note_progress();
+        entry.first_grant.get_or_insert(self.cycle);
+        let mut dur = u64::from(self.config.sync_bus_latency);
+        if f.broadcast_delay_pct > 0 && self.rng.chance_pct(f.broadcast_delay_pct) {
+            let extra = u64::from(self.rng.range_u32(1, f.broadcast_delay_max));
+            dur += extra;
+            entry.faulted = true;
+            self.stats.faults.delayed_broadcasts += 1;
+            self.stats.faults.delay_cycles += extra;
+            self.record_fault(None, FaultClass::BroadcastDelay, extra);
         }
-    }
-
-    /// Queues a posted sync write on the issuing processor's cluster
-    /// bus, coalescing into an already-queued post to the same variable
-    /// from the same processor on that bus when enabled. The clustered
-    /// counterpart of [`Machine::post_sync_write`].
-    pub(crate) fn post_sync_clustered(&mut self, proc: usize, var: SyncVar, val: u64) {
-        self.metrics.sync_vars[var].posts += 1;
-        self.stats.sync_ops_issued += 1;
-        let seq = self.next_sync_seq();
-        let cl = self.sync.cluster.as_mut().expect("clustered fabric state");
-        let c = cl.cluster_of(proc);
-        if self.config.coalesce_sync_writes {
-            for pending in cl.queues[c].iter_mut() {
-                if pending.refresh {
-                    // Never fold a real post into a refresh (see
-                    // post_sync_write).
-                    continue;
-                }
-                if let SyncReq::Post { proc: p, var: v, val: pv } = &mut pending.req {
-                    if *p == proc && *v == var {
-                        *pv = val;
-                        pending.seq = seq;
-                        self.stats.coalesced_writes += 1;
-                        return;
-                    }
-                }
-            }
+        let (var, rmw) = match entry.req {
+            SyncReq::Post { var, .. } => (var, false),
+            SyncReq::Rmw { var, .. } => (var, true),
+        };
+        // Summed over parallel domain buses (can exceed makespan, like
+        // bank_busy).
+        self.metrics.sync_bus_busy += dur;
+        if shared_bus {
+            // One physical bus: these cycles are lost to data traffic
+            // too.
+            self.metrics.data_bus_busy += dur;
         }
-        cl.queues[c].push_back(QueuedSync::new(SyncReq::Post { proc, var, val }, seq));
-        cl.inflight += 1;
-    }
-
-    /// Queues an atomic fetch-increment on the issuing processor's
-    /// cluster bus.
-    pub(crate) fn enqueue_rmw_clustered(&mut self, proc: usize, var: SyncVar) {
-        self.stats.sync_ops_issued += 1;
-        let seq = self.next_sync_seq();
-        let cl = self.sync.cluster.as_mut().expect("clustered fabric state");
-        let c = cl.cluster_of(proc);
-        cl.queues[c].push_back(QueuedSync::new(SyncReq::Rmw { proc, var }, seq));
-        cl.inflight += 1;
-    }
-
-    /// Queues a broadcast on `proc`'s transport: its cluster bus when
-    /// clustered, the flat sync queue otherwise. Recovery retransmissions
-    /// go through here so a NACKing processor's refresh rides its own
-    /// cluster's bus.
-    pub(crate) fn push_sync_for_proc(&mut self, proc: usize, msg: QueuedSync) {
-        match self.sync.cluster.as_mut() {
-            Some(cl) => {
-                let c = cl.cluster_of(proc);
-                cl.queues[c].push_back(msg);
-                cl.inflight += 1;
-            }
-            None => self.sync.queue.push_back(msg),
-        }
-    }
-
-    /// One arbitration pass of the two-level transport: flush the
-    /// coalescing window, grant each idle cluster bus, then grant the
-    /// bridge. Clusters arbitrate independently — this is where the
-    /// flat bus's P-wide serialization disappears.
-    pub(crate) fn grant_clustered(&mut self) {
-        let cl = self.sync.cluster.as_ref().expect("clustered fabric state");
-        if cl.inflight == 0 {
-            return;
-        }
-        let clusters = cl.clusters;
-        self.flush_bridge_window();
-        for c in 0..clusters {
-            self.grant_cluster_bus(c);
-        }
-        self.grant_bridge();
+        self.events.record(self.cycle, SimEventKind::SyncGrant { var, rmw, dur });
+        self.sync.domains[d].active = Some((entry, self.cycle + dur));
+        self.note_progress();
     }
 
     /// Moves window entries whose coalescing window has elapsed to the
     /// bridge queue (in submission order).
     fn flush_bridge_window(&mut self) {
         let cycle = self.cycle;
-        let cl = self.sync.cluster.as_mut().expect("clustered fabric state");
-        while let Some(&(var, flush)) = cl.window.front() {
+        let Some(bridge) = self.sync.bridge.as_mut() else { return };
+        while let Some(&(var, flush)) = bridge.window.front() {
             if flush > cycle {
                 break;
             }
-            cl.window.pop_front();
-            cl.bridge_queue.push_back(var);
-        }
-    }
-
-    /// Grants cluster `c`'s bus to its next queued broadcast, modelling
-    /// the same faulty-arbiter reordering and grant delays as the flat
-    /// bus (each cluster bus has its own arbiter and draws its own
-    /// faults).
-    fn grant_cluster_bus(&mut self, c: usize) {
-        if self.sync.cluster.as_ref().expect("clustered fabric state").actives[c].is_some() {
-            return;
-        }
-        let f = self.config.faults;
-        let queued = self.sync.cluster.as_ref().expect("clustered fabric state").queues[c].len();
-        let picked = if f.broadcast_reorder_pct > 0
-            && queued >= 2
-            && self.rng.chance_pct(f.broadcast_reorder_pct)
-        {
-            self.stats.faults.reordered_broadcasts += 1;
-            self.record_fault(None, FaultClass::BroadcastReorder, 0);
-            let cycle = self.cycle;
-            let ix = self.rng.range_usize(1, queued - 1);
-            let cl = self.sync.cluster.as_mut().expect("clustered fabric state");
-            if let Some(head) = cl.queues[c].front_mut() {
-                head.faulted = true;
-                head.first_grant.get_or_insert(cycle);
-            }
-            cl.queues[c].remove(ix)
-        } else {
-            self.sync.cluster.as_mut().expect("clustered fabric state").queues[c].pop_front()
-        };
-        if let Some(mut entry) = picked {
-            // Recovery refreshes occupy the bus but are not counted as
-            // broadcasts: they re-deliver an already-performed value,
-            // and counting them would break the conservation identity
-            // (issued == broadcasts + coalesced) whenever a legitimate
-            // fault-free NACK fires.
-            if !entry.refresh {
-                self.stats.sync_broadcasts += 1;
-            }
-            if let SyncReq::Rmw { .. } = entry.req {
-                self.stats.rmw_ops += 1;
-            }
-            entry.first_grant.get_or_insert(self.cycle);
-            let mut dur = u64::from(self.config.sync_bus_latency);
-            if f.broadcast_delay_pct > 0 && self.rng.chance_pct(f.broadcast_delay_pct) {
-                let extra = u64::from(self.rng.range_u32(1, f.broadcast_delay_max));
-                dur += extra;
-                entry.faulted = true;
-                self.stats.faults.delayed_broadcasts += 1;
-                self.stats.faults.delay_cycles += extra;
-                self.record_fault(None, FaultClass::BroadcastDelay, extra);
-            }
-            let (var, rmw) = match entry.req {
-                SyncReq::Post { var, .. } => (var, false),
-                SyncReq::Rmw { var, .. } => (var, true),
-            };
-            // Summed over parallel cluster buses (can exceed makespan,
-            // like bank_busy).
-            self.metrics.sync_bus_busy += dur;
-            self.events.record(self.cycle, SimEventKind::SyncGrant { var, rmw, dur });
-            self.sync.cluster.as_mut().expect("clustered fabric state").actives[c] =
-                Some((entry, self.cycle + dur));
-            self.note_progress();
+            bridge.window.pop_front();
+            bridge.queue.push_back(var);
         }
     }
 
@@ -849,13 +607,13 @@ impl<'a> Machine<'a> {
     /// (see [`Machine::bridge_submit`]) keeps its queue short.
     fn grant_bridge(&mut self) {
         let cycle = self.cycle;
-        let cl = self.sync.cluster.as_mut().expect("clustered fabric state");
-        if cl.bridge_active.is_some() {
+        let Some(bridge) = self.sync.bridge.as_mut() else { return };
+        if bridge.active.is_some() {
             return;
         }
-        let Some(var) = cl.bridge_queue.pop_front() else { return };
-        let dur = cl.bridge_latency;
-        cl.bridge_active = Some((var, cycle + dur));
+        let Some(var) = bridge.queue.pop_front() else { return };
+        let dur = bridge.latency;
+        bridge.active = Some((var, cycle + dur));
         self.stats.bridge_broadcasts += 1;
         self.metrics.bridge_busy += dur;
         self.events.record(cycle, SimEventKind::BridgeForward { var, dur });
@@ -863,65 +621,46 @@ impl<'a> Machine<'a> {
     }
 
     /// Completes every broadcast whose tenure ends this cycle: each
-    /// cluster bus in index order (deterministic in both stepping
+    /// domain bus in index order (deterministic in both stepping
     /// modes), then the bridge — so a forward ending this cycle
     /// delivers a global value that already includes this cycle's
-    /// cluster completions.
-    pub(crate) fn complete_clustered(&mut self) {
-        let cl = self.sync.cluster.as_ref().expect("clustered fabric state");
-        if cl.inflight == 0 {
+    /// domain completions.
+    pub(crate) fn complete_sync(&mut self) {
+        if self.sync.inflight == 0 {
             return;
         }
-        let clusters = cl.clusters;
-        for c in 0..clusters {
-            let due = match self.sync.cluster.as_ref().expect("clustered fabric state").actives[c] {
-                Some((entry, end)) if end == self.cycle => Some(entry),
-                _ => None,
-            };
-            if let Some(entry) = due {
-                self.sync.cluster.as_mut().expect("clustered fabric state").actives[c] = None;
-                self.complete_cluster_entry(c, entry);
+        for d in 0..self.sync.domains.len() {
+            match self.sync.domains[d].active {
+                Some((entry, end)) if end == self.cycle => {
+                    self.sync.domains[d].active = None;
+                    self.complete_entry(d, entry);
+                }
+                _ => {}
             }
         }
-        let due = match self.sync.cluster.as_ref().expect("clustered fabric state").bridge_active {
-            Some((var, end)) if end == self.cycle => Some(var),
-            _ => None,
-        };
-        if let Some(var) = due {
-            {
-                let cl = self.sync.cluster.as_mut().expect("clustered fabric state");
-                cl.bridge_active = None;
-                cl.bridge_pending[var] = false;
-                cl.inflight -= 1;
-            }
-            // The forward carries no payload: it re-reads the current
-            // global value, so every update folded into it since it was
-            // submitted is delivered too (monotone counters make the
-            // newer value satisfy every waiter of the older ones).
-            let val = self.sync.vars.global[var];
-            self.events
-                .record(self.cycle, SimEventKind::SyncDeliver { var, val, stale: false });
-            let procs = self.sync.procs;
-            self.deliver_images(var, val, 0, procs);
-            self.note_progress();
-        }
+        self.complete_bridge();
     }
 
-    /// Terminal handling of a cluster-bus broadcast: re-queue under an
-    /// injected drop, deliver to the cluster's own images, and submit
-    /// the variable to the bridge. The clustered counterpart of
-    /// [`Machine::complete_sync`].
-    fn complete_cluster_entry(&mut self, c: usize, entry: QueuedSync) {
+    /// Terminal handling of domain `d`'s broadcast: re-queue it under an
+    /// injected drop, discard it as stale if a newer write already
+    /// performed, or deliver it to the domain's images (a refresh
+    /// re-reading the current global value) — then, on a bridged
+    /// fabric, submit the variable to the bridge.
+    fn complete_entry(&mut self, d: usize, entry: QueuedSync) {
         let f = self.config.faults;
         if f.broadcast_drop_pct > 0
             && entry.redeliveries < f.max_redeliveries
             && self.rng.chance_pct(f.broadcast_drop_pct)
         {
+            // Lost broadcast: re-queue for (bounded) redelivery. It is
+            // still in flight, so `inflight` is unchanged.
             self.stats.faults.dropped_broadcasts += 1;
             self.record_fault(None, FaultClass::BroadcastDrop, 0);
-            self.sync.cluster.as_mut().expect("clustered fabric state").queues[c].push_back(
-                QueuedSync { redeliveries: entry.redeliveries + 1, faulted: true, ..entry },
-            );
+            self.sync.domains[d].queue.push_back(QueuedSync {
+                redeliveries: entry.redeliveries + 1,
+                faulted: true,
+                ..entry
+            });
             return;
         }
         if entry.faulted {
@@ -932,18 +671,19 @@ impl<'a> Machine<'a> {
                 self.stats.faults.recovery_max = self.stats.faults.recovery_max.max(rec);
             }
         }
-        let size = self.sync.cluster.as_ref().expect("clustered fabric state").cluster_size;
-        let (lo, hi) = (c * size, (c + 1) * size);
+        let (lo, hi) = self.sync.domain_range(d);
         match entry.req {
             SyncReq::Post { var, .. } if entry.refresh => {
-                // A refresh heals this cluster's images from the current
-                // global value and never forwards. It is not a write: it
-                // must not advance `applied_seq` — cross-cluster
-                // overtaking is routine here (a refresh on an idle
-                // cluster bus can beat an older-seq real post queued on
-                // a busy one), and bumping the sequence would get that
-                // post discarded as stale, losing the write for good —
-                // and it cannot itself be stale.
+                // A refresh heals this domain's images from the *current*
+                // global value (a payload captured at NACK time could
+                // have been overtaken by an RMW granted since, and
+                // re-applying it would regress the counter) and never
+                // crosses the bridge. It is not a write: it never
+                // advances `applied_seq` — a refresh outrunning an
+                // older-seq real post still in flight (routine across
+                // domains: an idle domain bus beats a busy one) would
+                // otherwise get that post discarded as stale, losing the
+                // write — and cannot itself be stale.
                 let val = self.sync.vars.global[var];
                 self.events
                     .record(self.cycle, SimEventKind::SyncDeliver { var, val, stale: false });
@@ -956,14 +696,18 @@ impl<'a> Machine<'a> {
                     self.sync.vars.applied_seq[var] = entry.seq;
                     self.sync.vars.global[var] = val;
                     self.deliver_images(var, val, lo, hi);
-                } else if entry.faulted {
+                } else if entry.faulted || self.sync.bridge.is_none() {
+                    // A drop, reorder or coalescing retag let a newer
+                    // write to this variable perform first: this late
+                    // delivery is stale and must be discarded, not
+                    // applied (sync variables are monotonic counters;
+                    // regressing one would wedge every waiter past the
+                    // lost value). A bridged fabric counts only faulted
+                    // discards: there an older post completing after a
+                    // newer one on another domain's bus is routine
+                    // overtaking, harmless and not a fault.
                     self.stats.faults.stale_deliveries_discarded += 1;
                 }
-                // else: fault-free cross-cluster overtaking — an older
-                // post completed after a newer same-variable one on
-                // another cluster's bus. Monotone counters make the
-                // discard harmless, and it is not a fault.
-                //
                 // Delivered or stale, every real completion submits to
                 // the bridge: this keeps the two-level conservation
                 // identity exact on fault-free runs (sync_broadcasts ==
@@ -981,26 +725,46 @@ impl<'a> Machine<'a> {
                 self.bridge_submit(var);
             }
         }
-        self.sync.cluster.as_mut().expect("clustered fabric state").inflight -= 1;
+        self.sync.inflight -= 1;
         self.note_progress();
     }
 
-    /// Submits a variable to the bridge after a cluster-bus completion.
-    /// If a forward of the same variable is already pending anywhere in
-    /// the bridge pipeline, the submission folds into it — the
-    /// barrier/SC/PC aggregation that collapses P partial-count updates
-    /// into one global broadcast.
+    /// Submits a variable to the bridge (if any) after a domain-bus
+    /// completion. If a forward of the same variable is already pending
+    /// anywhere in the bridge pipeline, the submission folds into it —
+    /// the barrier/SC/PC aggregation that collapses P partial-count
+    /// updates into one global broadcast.
     fn bridge_submit(&mut self, var: SyncVar) {
         let cycle = self.cycle;
-        let cl = self.sync.cluster.as_mut().expect("clustered fabric state");
-        if cl.bridge_pending[var] {
+        let Some(bridge) = self.sync.bridge.as_mut() else { return };
+        if bridge.pending[var] {
             self.stats.bridge_coalesced += 1;
             return;
         }
-        cl.bridge_pending[var] = true;
-        let flush = cycle + cl.coalesce_window;
-        cl.window.push_back((var, flush));
-        cl.inflight += 1;
+        bridge.pending[var] = true;
+        bridge.window.push_back((var, cycle + bridge.coalesce_window));
+        self.sync.inflight += 1;
+    }
+
+    /// Completes the bridge forward ending this cycle, if any. The
+    /// forward carries no payload: it re-reads the current global
+    /// value, so every update folded into it since it was submitted is
+    /// delivered too (monotone counters make the newer value satisfy
+    /// every waiter of the older ones).
+    fn complete_bridge(&mut self) {
+        let Some(bridge) = self.sync.bridge.as_mut() else { return };
+        let Some((var, end)) = bridge.active else { return };
+        if end != self.cycle {
+            return;
+        }
+        bridge.active = None;
+        bridge.pending[var] = false;
+        self.sync.inflight -= 1;
+        let val = self.sync.vars.global[var];
+        self.events
+            .record(self.cycle, SimEventKind::SyncDeliver { var, val, stale: false });
+        self.write_sync(var, val);
+        self.note_progress();
     }
 
     /// Performs a sync write globally and broadcasts it to every local
@@ -1012,8 +776,8 @@ impl<'a> Machine<'a> {
     }
 
     /// Delivers `val` to the local images of processors `lo..hi` (a
-    /// cluster's broadcast domain, or `0..procs` for a flat or bridge
-    /// broadcast), subject to the per-image loss and staleness faults.
+    /// broadcast domain, or `0..procs` for a bridge forward), subject to
+    /// the per-image loss and staleness faults.
     ///
     /// With no image faults armed and no deferred update pending
     /// anywhere, every image takes the value unconditionally: the
@@ -1100,40 +864,51 @@ mod tests {
         assert!(!FabricKind::Dedicated.backend().shares_data_bus());
         assert!(FabricKind::Shared.backend().shares_data_bus());
         assert!(!FabricKind::Ideal.backend().shares_data_bus());
-        // Any clustered geometry resolves to the one stateless backend
-        // (the live geometry is per-machine config, not backend state).
+        // Any clustered geometry runs the dedicated-bus engine: the
+        // domains and bridge are per-machine transport state.
         let b =
             FabricKind::Clustered { clusters: 8, bridge_latency: 3, coalesce_window: 0 }.backend();
-        assert!(b.kind().is_clustered());
+        assert_eq!(b.kind(), FabricKind::Dedicated);
         assert!(!b.shares_data_bus());
     }
 
     #[test]
     fn cluster_state_geometry_and_idle_tracking() {
-        let mut s = SyncState::new(8, 2);
-        assert!(s.clusters_idle(), "flat state is trivially idle");
-        s.install_clusters(4, 2, 4);
-        assert!(s.clusters_idle());
-        let cl = s.cluster.as_ref().unwrap();
-        assert_eq!((cl.clusters, cl.cluster_size), (4, 2));
-        assert_eq!(cl.cluster_of(0), 0);
-        assert_eq!(cl.cluster_of(1), 0);
-        assert_eq!(cl.cluster_of(2), 1);
-        assert_eq!(cl.cluster_of(7), 3);
-        assert_eq!(cl.window_min(), u64::MAX);
+        // A flat fabric is one domain spanning every processor, no
+        // bridge, and counts its in-flight broadcasts like any other.
+        let rmw = |proc| QueuedSync::new(SyncReq::Rmw { proc, var: 1 }, 1);
+        let mut flat = SyncState::new(8, 2, FabricKind::Dedicated);
+        assert_eq!(flat.domains.len(), 1);
+        assert!(flat.bridge.is_none());
+        assert_eq!(flat.domain_range(0), (0, 8));
+        assert!((0..8).all(|p| flat.domain_of(p) == 0));
+        assert_eq!(flat.inflight, 0);
+        flat.enqueue(5, rmw(5));
+        assert_eq!((flat.inflight, flat.domains[0].queue.len()), (1, 1));
+
+        let mut s = SyncState::new(8, 2, FabricKind::clustered(4));
+        assert_eq!(s.inflight, 0);
+        assert_eq!(s.domains.len(), 4);
+        assert_eq!(s.domain_of(0), 0);
+        assert_eq!(s.domain_of(1), 0);
+        assert_eq!(s.domain_of(2), 1);
+        assert_eq!(s.domain_of(7), 3);
+        assert_eq!(s.domain_range(3), (6, 8));
+        assert_eq!(s.bridge.as_ref().unwrap().window_min(), u64::MAX);
         // Growing the variable space grows the bridge-pending lane too.
         s.resize_vars(5);
-        assert_eq!(s.cluster.as_ref().unwrap().bridge_pending.len(), 5);
-        let cl = s.cluster.as_mut().unwrap();
-        cl.window.push_back((3, 17));
-        cl.inflight += 1;
-        assert_eq!(cl.window_min(), 17);
-        assert!(!s.clusters_idle());
+        assert_eq!(s.bridge.as_ref().unwrap().pending.len(), 5);
+        s.enqueue(7, rmw(7));
+        assert_eq!((s.inflight, s.domains[3].queue.len()), (1, 1));
+        s.bridge.as_mut().unwrap().window.push_back((3, 17));
+        s.inflight += 1;
+        assert_eq!(s.bridge.as_ref().unwrap().window_min(), 17);
+        assert_eq!(s.inflight, 2);
     }
 
     #[test]
     fn sync_state_starts_quiescent() {
-        let s = SyncState::new(3, 2);
+        let s = SyncState::new(3, 2, FabricKind::Dedicated);
         assert_eq!(s.vars.global, vec![0, 0]);
         assert_eq!(s.n_vars(), 2);
         for p in 0..3 {
@@ -1141,14 +916,15 @@ mod tests {
                 assert_eq!(s.image(p, var), 0);
             }
         }
-        assert!(s.queue.is_empty() && s.active.is_none());
+        assert_eq!(s.inflight, 0);
+        assert!(s.domains.iter().all(|d| d.queue.is_empty() && d.active.is_none()));
         assert_eq!(s.due_min, u64::MAX);
         assert_eq!(s.vars.applied_seq, vec![0, 0]);
     }
 
     #[test]
     fn image_lanes_are_var_major_and_resizable() {
-        let mut s = SyncState::new(2, 1);
+        let mut s = SyncState::new(2, 1, FabricKind::Dedicated);
         s.set_image(1, 0, 7);
         assert_eq!((s.image(0, 0), s.image(1, 0)), (0, 7));
         s.resize_vars(3);

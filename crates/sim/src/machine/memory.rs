@@ -193,8 +193,9 @@ impl<'a> Machine<'a> {
         if self.mem.active.is_some() {
             return;
         }
-        // One physical bus: an in-flight sync broadcast holds it.
-        if self.fabric.shares_data_bus() && self.sync.active.is_some() {
+        // One physical bus: an in-flight sync broadcast holds it (the
+        // shared fabric is always the one-domain engine).
+        if self.fabric.shares_data_bus() && self.sync.domains[0].active.is_some() {
             return;
         }
         let f = self.config.faults;
