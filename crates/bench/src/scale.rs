@@ -9,6 +9,11 @@
 //! *events*, not processors, so simulated cycles/second should stay
 //! flat-ish while the machine grows 128-fold.
 //!
+//! Every point also records the kernel's own work
+//! ([`KernelCounters`]): stepped cycles, quiet jumps and processor
+//! visits. Visits per stepped cycle is the number the active-set kernel
+//! keeps far below P — host cost follows the processors that act.
+//!
 //! Alongside the per-scheme kernel-throughput curves, the sweep carries
 //! a **fabric ablation**: a barrier hot-spot microbenchmark (every
 //! processor RMWs one counter each round, then waits for the round
@@ -32,7 +37,10 @@ use datasync_schemes::scheme::Scheme;
 use datasync_schemes::{
     BarrierPhased, InstanceBased, ProcessOriented, ReferenceBased, StatementOriented,
 };
-use datasync_sim::{FabricKind, Instr, Machine, MachineConfig, Pred, Program, StepMode, Workload};
+use datasync_sim::{
+    FabricKind, Instr, KernelCounters, Machine, MachineConfig, Pred, Program, RunOutcome, StepMode,
+    Workload,
+};
 
 /// One (scheme, P) measurement on the scaling curve.
 #[derive(Debug, Clone)]
@@ -47,6 +55,16 @@ pub struct ScalePoint {
     pub wall_seconds: f64,
     /// Simulated cycles per wall-clock second.
     pub cycles_per_sec: f64,
+    /// The fast-forward kernel's work for the run (deterministic).
+    pub kernel: KernelCounters,
+}
+
+impl ScalePoint {
+    /// Processor visits per stepped cycle: P under per-cycle stepping,
+    /// the processors that act under the active-set kernel.
+    pub fn visits_per_stepped_cycle(&self) -> f64 {
+        self.kernel.proc_visits as f64 / self.kernel.stepped_cycles.max(1) as f64
+    }
 }
 
 /// The scaling curve of one scheme across the P axis.
@@ -89,12 +107,16 @@ impl ScaleReport {
             for (j, pt) in curve.points.iter().enumerate() {
                 out.push_str(&format!(
                     "      {{\"procs\": {}, \"clusters\": {}, \"makespan\": {}, \
-                     \"wall_seconds\": {:.6}, \"cycles_per_sec\": {:.0}}}{}\n",
+                     \"wall_seconds\": {:.6}, \"cycles_per_sec\": {:.0}, \
+                     \"stepped_cycles\": {}, \"quiet_jumps\": {}, \"proc_visits\": {}}}{}\n",
                     pt.procs,
                     pt.clusters,
                     pt.makespan,
                     pt.wall_seconds,
                     pt.cycles_per_sec,
+                    pt.kernel.stepped_cycles,
+                    pt.kernel.quiet_jumps,
+                    pt.kernel.proc_visits,
                     if j + 1 < curve.points.len() { "," } else { "" }
                 ));
             }
@@ -117,6 +139,14 @@ impl ScaleReport {
             out.push_str(&format!("{:<16}", curve.scheme));
             for pt in &curve.points {
                 out.push_str(&format!(" {:>10}", human_rate(pt.cycles_per_sec)));
+            }
+            out.push('\n');
+        }
+        out.push_str("\nprocessor visits per stepped cycle (fast-forward kernel)\n");
+        for curve in self.curves.iter().filter(|c| c.scheme != HOTSPOT_SCHEME) {
+            out.push_str(&format!("{:<16}", curve.scheme));
+            for pt in &curve.points {
+                out.push_str(&format!(" {:>10.1}", pt.visits_per_stepped_cycle()));
             }
             out.push('\n');
         }
@@ -210,13 +240,13 @@ fn hotspot_workload(p: usize) -> Workload {
     Workload::static_assigned(programs, (0..p).map(|i| vec![i]).collect())
 }
 
-/// Runs the hot-spot workload on one fabric, returning its makespan.
-fn hotspot_makespan(p: usize, fabric: FabricKind) -> u64 {
+/// Runs the hot-spot workload on one fabric.
+fn hotspot_run(p: usize, fabric: FabricKind) -> RunOutcome {
     let config = MachineConfig { sync_fabric: fabric, ..MachineConfig::with_processors(p) };
     let w = hotspot_workload(p);
     let mut m = Machine::new(&config, &w);
     m.set_mode(StepMode::FastForward);
-    m.run_to_completion().expect("hot-spot workload must complete").stats.makespan
+    m.run_to_completion().expect("hot-spot workload must complete")
 }
 
 /// Runs the scaling sweep. `quick` caps the P axis and shrinks costs for
@@ -264,6 +294,7 @@ pub fn run(quick: bool) -> ScaleReport {
                 makespan,
                 wall_seconds,
                 cycles_per_sec: makespan as f64 / wall_seconds,
+                kernel: out.kernel,
             });
         }
     }
@@ -296,9 +327,10 @@ pub fn run(quick: bool) -> ScaleReport {
                 hotspot_clusters(p),
             ),
         ] {
-            let makespan = hotspot_makespan(p, fabric);
+            let out = hotspot_run(p, fabric);
+            let makespan = out.stats.makespan;
             let wall_seconds = time_runs(|| {
-                let _ = hotspot_makespan(p, fabric);
+                let _ = hotspot_run(p, fabric);
             });
             curve.points.push(ScalePoint {
                 procs: p,
@@ -306,6 +338,7 @@ pub fn run(quick: bool) -> ScaleReport {
                 makespan,
                 wall_seconds,
                 cycles_per_sec: makespan as f64 / wall_seconds,
+                kernel: out.kernel,
             });
         }
     }
@@ -348,15 +381,23 @@ mod tests {
             }
         }
         let json = r.to_json();
-        for key in
-            ["\"workload\"", "\"procs\"", "\"schemes\"", "\"cycles_per_sec\"", "\"clusters\""]
-        {
+        for key in [
+            "\"workload\"",
+            "\"procs\"",
+            "\"schemes\"",
+            "\"cycles_per_sec\"",
+            "\"clusters\"",
+            "\"proc_visits\"",
+            "\"stepped_cycles\"",
+            "\"quiet_jumps\"",
+        ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert!(json.contains("\"scheme\": \"barrier-phased\""), "{json}");
         assert!(json.contains("\"fabric\": \"clustered\""), "{json}");
         assert!(json.contains("\"fabric\": \"dedicated\""), "{json}");
         let s = r.summary();
+        assert!(s.contains("visits per stepped cycle"), "{s}");
         assert!(s.contains("P=32"), "{s}");
         assert!(s.contains("instance"), "{s}");
         assert!(s.contains("barrier hot-spot makespan"), "{s}");
@@ -369,18 +410,47 @@ mod tests {
         // dedicated bus on the same workload (it is ~5x in practice —
         // the flat bus serializes all 1024 RMWs per round, the clusters
         // run 32-wide grants in parallel and the bridge aggregates).
-        let flat = hotspot_makespan(1024, FabricKind::Dedicated);
-        let clustered = hotspot_makespan(
+        let flat = hotspot_run(1024, FabricKind::Dedicated).stats.makespan;
+        let clustered = hotspot_run(
             1024,
             FabricKind::Clustered {
                 clusters: hotspot_clusters(1024),
                 bridge_latency: 2,
                 coalesce_window: 4,
             },
-        );
+        )
+        .stats
+        .makespan;
         assert!(
             flat >= 2 * clustered,
             "clustered must be >=2x better at P=1024: flat {flat} vs clustered {clustered}"
+        );
+    }
+
+    #[test]
+    fn active_set_visits_a_small_fraction_of_the_machine() {
+        // Fig 2.1 under the process-oriented scheme at P = 256: the
+        // reference stepper visits all 256 processors per stepped cycle;
+        // the active-set kernel must visit at most 1/20 of that on
+        // average (it is ~1/40 at P = 1024). Short statements keep the
+        // debug-build run to seconds; the count is deterministic.
+        let p = 256;
+        let nest = fig21_loop(2 * p as i64);
+        let graph = analyze(&nest);
+        let space = IterSpace::of(&nest);
+        let scheme = build_scheme("process", p);
+        let compiled = scheme.compile_with(&nest, &graph, &space, Some(&|_, _| 200));
+        let config = MachineConfig {
+            sync_transport: scheme.natural_transport(),
+            ..MachineConfig::with_processors(p)
+        };
+        let k = compiled.run(&config).expect("completes").kernel;
+        assert!(k.stepped_cycles > 0 && k.quiet_jumps > 0, "{k:?}");
+        assert!(
+            k.proc_visits * 20 <= k.stepped_cycles * p as u64,
+            "{} visits over {} stepped cycles at P={p}",
+            k.proc_visits,
+            k.stepped_cycles
         );
     }
 

@@ -31,12 +31,12 @@ pub(crate) struct Dispatcher {
     /// having completed. Any path that issues work out of queue order
     /// (rescue reissue, preemptive swaps) must honor the same chain.
     pub(crate) chain_pred: Vec<Option<usize>>,
+    /// Static-chain successor's home: for each program, the processor
+    /// whose queue holds the program chained after it — the one whose
+    /// claimability that program's completion can change.
+    pub(crate) succ_home: Vec<Option<usize>>,
     /// Programs that have run to completion.
     pub(crate) done: Vec<bool>,
-    /// Set when a program completes mid-cycle: parked work may have
-    /// become claimable, so cached idle-processor wakes must be
-    /// re-armed at the end of the step. Cleared by the stepper.
-    pub(crate) dirty: bool,
 }
 
 impl Dispatcher {
@@ -53,14 +53,16 @@ impl Dispatcher {
             }
         };
         let mut chain_pred = vec![None; workload.programs.len()]; // alloc-ok: setup
-        for q in &queues {
+        let mut succ_home = vec![None; workload.programs.len()]; // alloc-ok: setup
+        for (home, q) in queues.iter().enumerate() {
             for pair in q.iter().collect::<Vec<_>>().windows(2) {
                 // alloc-ok: setup
                 chain_pred[*pair[1]] = Some(*pair[0]);
+                succ_home[*pair[0]] = Some(home);
             }
         }
         let done = vec![false; workload.programs.len()]; // alloc-ok: setup
-        Self { next_dynamic: 0, queues, rescue: VecDeque::new(), chain_pred, done, dirty: false }
+        Self { next_dynamic: 0, queues, rescue: VecDeque::new(), chain_pred, succ_home, done }
     }
 
     /// Whether a never-started program may be issued now: its static
@@ -140,6 +142,24 @@ impl Dispatcher {
 }
 
 impl<'a> Machine<'a> {
+    /// Marks the processors whose claimability the completion of `prog`
+    /// can change: the home of its static-chain successor (now
+    /// startable), and — while rescued work is pooled, where any idle
+    /// processor may claim it — every idle processor. Nothing else
+    /// reads `done`, so no other wake can move earlier.
+    pub(crate) fn wake_claimants(&mut self, prog: usize) {
+        if let Some(home) = self.disp.succ_home[prog] {
+            self.procs.mark_wake(home);
+        }
+        if !self.disp.rescue.is_empty() {
+            for p in 0..self.procs.len() {
+                if matches!(self.procs.state(p), ProcState::Idle) {
+                    self.procs.mark_wake(p);
+                }
+            }
+        }
+    }
+
     /// Returns `true` if a program was assigned to processor `p`.
     pub(crate) fn try_dispatch(&mut self, p: usize) -> bool {
         let Some((next, resume)) = self.disp.claim(p, self.workload) else {

@@ -12,8 +12,14 @@ impl<'a> Machine<'a> {
     /// Executes instructions for processor `p` in the current cycle.
     /// "Free" instructions (notes, posted writes, satisfied waits,
     /// zero-cost computes) retire in the same cycle; the first costly one
-    /// decides how the cycle is accounted.
+    /// decides how the cycle is accounted. Cycles the processor was not
+    /// visited in since its last step are charged first (always none
+    /// under the reference stepper, which visits every cycle).
     pub(crate) fn step_proc(&mut self, p: usize) {
+        self.kernel.proc_visits += 1;
+        self.procs.charge(p, self.cycle);
+        // Every path below charges this cycle itself.
+        self.procs.charged_to[p] = self.cycle + 1;
         if self.procs.is_dead(p) {
             self.procs.stats[p].dead += 1;
             return;
@@ -30,6 +36,11 @@ impl<'a> Machine<'a> {
             // hardware actually enforced is not re-stamped late by the
             // rescue path.
             self.drain_notes(p);
+            if self.cycle <= self.procs.stall_until[p] {
+                // Frozen (or due to thaw this very cycle): it stops
+                // counting as frozen mid-compute.
+                self.procs.thaw(p);
+            }
             self.procs.kill(p);
             self.rec.nack_due[p] = u64::MAX;
             self.stats.faults.fail_stops += 1;
@@ -45,6 +56,7 @@ impl<'a> Machine<'a> {
                 self.procs.stall_until[p] = self.cycle + len;
                 let mean = u64::from(self.config.faults.stall_mean_interval);
                 self.procs.next_stall[p] = self.procs.stall_until[p] + 1 + self.rng.below(2 * mean);
+                self.procs.freeze(p);
                 self.procs.mark_wake(p);
                 self.stats.faults.stalls += 1;
                 self.stats.faults.stall_cycles += len;
@@ -71,6 +83,7 @@ impl<'a> Machine<'a> {
                 // step on without any lane write — re-arm against its
                 // real deadlines (next stall onset, NACK due, ...).
                 self.procs.mark_wake(p);
+                self.procs.thaw(p);
             }
         }
         loop {
@@ -167,7 +180,7 @@ impl<'a> Machine<'a> {
         let program = &self.workload.programs[prog_ix];
         if ip >= program.instrs.len() {
             self.disp.done[prog_ix] = true;
-            self.disp.dirty = true;
+            self.wake_claimants(prog_ix);
             self.procs.set_current(p, None);
             self.procs.ip[p] = 0;
             self.procs.set_state(p, ProcState::Idle);
@@ -226,7 +239,7 @@ impl<'a> Machine<'a> {
                     self.metrics.sync_vars[var].waits += 1;
                     if !pred.eval(self.sync.image(p, var)) {
                         self.begin_wait(p, var, false);
-                        self.procs.set_state(p, ProcState::SpinLocal { var, pred });
+                        self.spin_local(p, var, pred);
                     }
                 }
                 SyncTransport::SharedMemory => {
@@ -267,7 +280,7 @@ impl<'a> Machine<'a> {
                         // instruction once the key advances.
                         self.begin_wait(p, var, false);
                         self.procs.ip[p] -= 1;
-                        self.procs.set_state(p, ProcState::SpinLocal { var, pred: Pred::Geq(geq) });
+                        self.spin_local(p, var, Pred::Geq(geq));
                     }
                 }
                 SyncTransport::SharedMemory => {

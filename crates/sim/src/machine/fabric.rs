@@ -187,11 +187,13 @@ pub(crate) struct SyncState {
     /// every queue is empty), so quiescent processors cost nothing in
     /// [`Machine::apply_deferred_images`].
     pub(crate) due_min: u64,
-    /// Set when the [`IdealFabric`] oracle rewrites every image
-    /// mid-cycle (during the processor loop): wakes cached by
-    /// already-stepped spinners may now be too late, so the stepper must
-    /// re-arm them. Cleared by the stepper each cycle.
-    pub(crate) images_touched: bool,
+    /// Per-(variable, domain) lower bound on the thresholds the domain's
+    /// local spinners on that variable wait for (`need_min[var *
+    /// domains + d]`, `u64::MAX` = no spinner). A delivery below it
+    /// cannot satisfy anyone and wakes no one in O(1); one at or above
+    /// it scans the domain's spinners and tightens it (see
+    /// [`Machine::wake_spinners`]).
+    pub(crate) need_min: Vec<u64>,
 }
 
 impl SyncState {
@@ -226,7 +228,7 @@ impl SyncState {
             defer: vec![VecDeque::new(); p], // alloc-ok: setup
             defer_len: 0,
             due_min: u64::MAX,
-            images_touched: false,
+            need_min: vec![u64::MAX; n_vars * domains], // alloc-ok: setup
         }
     }
 
@@ -279,6 +281,7 @@ impl SyncState {
         self.vars.global.resize(n, 0); // alloc-ok: setup
         self.vars.applied_seq.resize(n, 0); // alloc-ok: setup
         self.images.resize(n * self.procs, 0); // alloc-ok: setup
+        self.need_min.resize(n * self.domains.len(), u64::MAX); // alloc-ok: setup
         if let Some(bridge) = &mut self.bridge {
             bridge.pending.resize(n, false); // alloc-ok: setup
         }
@@ -496,7 +499,10 @@ impl<'a> Machine<'a> {
         self.stats.sync_broadcasts += 1;
         self.sync.vars.global[var] = val;
         self.sync.var_images_mut(var).fill(val);
-        self.sync.images_touched = true;
+        // Mid-loop: satisfied spinners above the stepper's cursor act
+        // this very cycle, those behind it wake next cycle.
+        let procs = self.sync.procs;
+        self.wake_spinners(var, val, 0, procs);
         self.events
             .record(self.cycle, SimEventKind::SyncDeliver { var, val, stale: false });
         self.note_progress();
@@ -788,6 +794,7 @@ impl<'a> Machine<'a> {
         let f = self.config.faults;
         if f.broadcast_loss_pct == 0 && f.stale_image_pct == 0 && self.sync.defer_len == 0 {
             self.sync.var_images_mut(var)[lo..hi].fill(val);
+            self.wake_spinners(var, val, lo, hi);
             return;
         }
         self.deliver_images_faulted(var, val, lo, hi);
@@ -823,6 +830,7 @@ impl<'a> Machine<'a> {
                 self.sync.push_defer(p, pending, var, val);
             } else {
                 self.sync.set_image(p, var, val);
+                self.wake_if_satisfied(p, var);
             }
         }
     }
@@ -842,6 +850,7 @@ impl<'a> Machine<'a> {
                 }
                 self.sync.pop_defer(p);
                 self.sync.set_image(p, var, val);
+                self.wake_if_satisfied(p, var);
                 self.note_progress();
             }
             if let Some(&(when, _, _)) = self.sync.defer[p].front() {

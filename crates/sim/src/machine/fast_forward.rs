@@ -1,16 +1,33 @@
-//! The event-driven fast-forward kernel ([`StepMode::FastForward`]).
+//! The event-driven fast-forward kernel ([`StepMode::FastForward`]):
+//! per-cycle work proportional to the processors that act, not to P.
 //!
 //! A cycle is *quiet* when the machine provably does nothing in it but
 //! tick stat counters. The kernel finds the next non-quiet cycle as the
 //! minimum of two sources — the O(banks + domains)
 //! [`Machine::channel_horizon`] over the buses, banks, fabric domains,
 //! bridge and deferred-image due time, and the [`super::schedule::Calendar`]
-//! over per-processor wake deadlines — and jumps there, bulk-charging
-//! the skipped cycles to exactly the stat buckets the reference stepper
-//! would have ticked one by one. Debug builds cross-check every jump
-//! against the retained linear-scan oracle ([`Machine::scan_horizon`]).
+//! over per-processor wake deadlines — and jumps there in O(1): nobody
+//! is charged for the skipped cycles yet. Each processor keeps a
+//! "charged up to" cycle and pays its quiet cycles into its state's
+//! bucket in one addition when it is next visited, before any
+//! transition made from outside its own step, and at run end (see
+//! [`super::lanes::ProcLanes::charge`]); a computing processor's retire
+//! cycle is simply `charged_to + remaining`.
+//!
+//! A stepped cycle runs the channel phases, then visits in id order
+//! only the **active set**: the processors the calendar has due this
+//! cycle plus every processor marked in the `wake_dirty` bitset by this
+//! cycle's completions, grants, deliveries or by processors stepped
+//! before it — O(due + P/64) to assemble. A mark at or above the loop
+//! cursor is visited this cycle; one behind it (the cursor already
+//! passed) only re-arms that processor's wake for the next. Debug
+//! builds cross-check every jump against the retained linear-scan
+//! oracle ([`Machine::scan_horizon`]) and every stepped cycle against
+//! the skipped-processor oracle, so a missed wake fails at the cycle
+//! it happens.
 
 use super::{Machine, ProcState, SpinPhase, StepMode};
+use crate::program::{Pred, SyncVar};
 
 /// One deadline's contribution to the horizon: `None` when it is due
 /// at or before `c` (the cycle must be stepped), else the deadline.
@@ -28,6 +45,27 @@ fn channel<T>(active: &Option<(T, u64)>, queued: bool, c: u64) -> Option<u64> {
         None if queued => None,
         None => Some(u64::MAX),
     }
+}
+
+/// The smallest value that can satisfy `pred` (both predicates need at
+/// least their operand).
+#[inline]
+fn threshold(pred: Pred) -> u64 {
+    match pred {
+        Pred::Geq(n) | Pred::Eq(n) => n,
+    }
+}
+
+/// The bits of the bitset word starting at processor `base` that fall
+/// inside `lo..hi`.
+#[inline]
+fn span_mask(base: usize, lo: usize, hi: usize) -> u64 {
+    // Callers walk words from `lo / 64` up to the one holding `hi - 1`,
+    // so `lo - base < 64` and `hi > base`.
+    let from = lo.saturating_sub(base);
+    let to = (hi - base).min(64);
+    let upto = if to == 64 { u64::MAX } else { (1u64 << to) - 1 };
+    upto & (u64::MAX << from)
 }
 
 impl Machine<'_> {
@@ -64,12 +102,14 @@ impl Machine<'_> {
     /// The earliest cycle at or after `c1` at which processor `p` can do
     /// anything observable — `u64::MAX` if it never will on its own.
     /// `c1` is the first cycle the wake could land on: `cycle + 1` when
-    /// evaluated at the end of a stepped cycle (the per-step refresh),
-    /// `cycle` itself when the current cycle has not been stepped yet (a
-    /// recovery rung healed state mid-loop). It mirrors
+    /// evaluated during or after a stepped cycle (the per-visit and
+    /// end-of-cycle refreshes), `cycle` itself when the current cycle
+    /// has not been stepped yet (a recovery rung healed state) or is
+    /// being checked by the skipped-processor oracle. It mirrors
     /// [`Machine::scan_horizon`]'s per-processor clauses; every quantity
-    /// it reads is either owned by `p`'s own step or re-armed by the
-    /// dirty-flag refreshes in [`Machine::step`].
+    /// it reads is either owned by `p`'s own step or marks `p` in
+    /// `wake_dirty` when something else changes it (see the module
+    /// docs).
     fn proc_wake(&self, p: usize, c1: u64) -> u64 {
         if self.procs.is_dead(p) {
             return u64::MAX;
@@ -77,9 +117,11 @@ impl Machine<'_> {
         let mut wake = self.procs.fail_at[p];
         if self.config.faults.stall_mean_interval > 0 {
             let until = self.procs.stall_until[p];
-            if c1 < until {
-                // Frozen mid-stall; only a Ready processor (which drains
-                // trace notes every stalled cycle) steps sooner.
+            if c1 <= until {
+                // Frozen mid-stall: wake at the thaw cycle, which is
+                // always visited (it takes the processor out of the
+                // frozen-compute count). Only a Ready processor (which
+                // drains trace notes every stalled cycle) steps sooner.
                 if matches!(self.procs.state(p), ProcState::Ready) {
                     return wake.min(c1);
                 }
@@ -96,7 +138,9 @@ impl Machine<'_> {
                 }
             }
             ProcState::Ready => wake.min(c1),
-            ProcState::Computing { remaining } => wake.min(c1 + u64::from(remaining)),
+            ProcState::Computing { remaining } => {
+                wake.min(self.procs.charged_to[p] + u64::from(remaining))
+            }
             ProcState::BlockedData | ProcState::BlockedSync => wake,
             ProcState::SpinLocal { var, pred } => {
                 if pred.eval(self.sync.image(p, var)) {
@@ -125,12 +169,13 @@ impl Machine<'_> {
         self.sched.schedule(p, wake);
     }
 
-    /// Re-arms the wake deadline of every processor whose lanes were
-    /// written this cycle (and only those): a clean bit means the
-    /// processor's wake is an absolute deadline (retire cycle, NACK due
-    /// cycle, stall end) that the cycle did not move, so its calendar
-    /// entry is still live and exact.
-    pub(super) fn drain_dirty_wakes(&mut self) {
+    /// Re-arms the wake deadline of every processor still marked at the
+    /// end of a stepped cycle — the ones touched after the loop cursor
+    /// passed them: a clean bit means the processor's wake is an
+    /// absolute deadline (retire cycle, NACK due cycle, stall end) that
+    /// the cycle did not move, so its calendar entry is still live and
+    /// exact.
+    fn drain_dirty_wakes(&mut self) {
         for w in 0..self.procs.wake_dirty.len() {
             let mut word = std::mem::take(&mut self.procs.wake_dirty[w]);
             while word != 0 {
@@ -141,35 +186,15 @@ impl Machine<'_> {
         }
     }
 
-    /// Clears every wake-dirty bit — called by the refresh-all paths,
-    /// which recompute every processor's wake unconditionally.
-    fn clear_wake_dirty(&mut self) {
-        self.procs.wake_dirty.fill(0);
-    }
-
-    /// Re-arms every processor's wake deadline at the end of a stepped
-    /// cycle — the companion to the dirty-bit refresh for mid-loop
-    /// dirtying events (a program completing, an oracle broadcast) that
-    /// mutate state for processors that already stepped this cycle.
-    pub(super) fn refresh_all_wakes(&mut self) {
-        if !matches!(self.mode, StepMode::FastForward) {
-            return;
-        }
-        self.clear_wake_dirty();
-        for p in 0..self.procs.len() {
-            self.refresh_wake(p);
-        }
-    }
-
     /// Re-arms every wake from *outside* a step — after a recovery rung
-    /// (watchdog repair / rescue) healed state at a cycle that has not
-    /// been stepped yet, so a satisfied spinner must wake this very
-    /// cycle, not the next.
+    /// (watchdog repair / rescue) healed images or moved work wholesale
+    /// at a cycle that has not been stepped yet, so a satisfied spinner
+    /// must wake this very cycle, not the next. Cold.
     pub(super) fn refresh_all_wakes_now(&mut self) {
         if !matches!(self.mode, StepMode::FastForward) {
             return;
         }
-        self.clear_wake_dirty();
+        self.procs.wake_dirty.fill(0);
         for p in 0..self.procs.len() {
             let wake = self.proc_wake(p, self.cycle);
             self.sched.schedule(p, wake);
@@ -220,7 +245,9 @@ impl Machine<'_> {
                     }
                 }
                 ProcState::Ready => return None,
-                ProcState::Computing { remaining } => next = next.min(c + u64::from(remaining)),
+                ProcState::Computing { remaining } => {
+                    next = next.min(self.procs.charged_to[p] + u64::from(remaining));
+                }
                 ProcState::BlockedData | ProcState::BlockedSync => {}
                 ProcState::SpinLocal { var, pred } => {
                     if pred.eval(self.sync.image(p, var)) {
@@ -245,12 +272,54 @@ impl Machine<'_> {
         Some(next)
     }
 
-    /// One fast-forward advance: step normally through event cycles, and
-    /// jump a whole quiet span at once, bulk-charging the skipped cycles
-    /// to exactly the stat buckets the reference stepper would have
-    /// ticked one by one. The next event is the minimum of the channel
-    /// horizon and the calendar's earliest processor wake — no O(P)
-    /// scan.
+    /// The skipped-processor oracle, run after every stepped cycle in
+    /// debug builds: a processor the active set did not visit must have
+    /// been quiet this cycle — no due wake, no satisfied local spin,
+    /// nothing claimable — unless it was marked after the loop cursor
+    /// passed it (then the reference stepper also saw it quiet at its
+    /// turn, and its wake is re-armed for the next cycle).
+    #[cfg(debug_assertions)]
+    fn assert_no_skipped_event(&self, visited: &[u64]) {
+        let c = self.cycle;
+        for p in 0..self.procs.len() {
+            let (w, bit) = (p / 64, 1u64 << (p % 64));
+            if (visited[w] | self.procs.wake_dirty[w]) & bit != 0 {
+                continue;
+            }
+            let wake = self.proc_wake(p, c);
+            assert!(
+                wake > c,
+                "active set skipped processor {p} at cycle {c} with a due wake {wake} ({:?})",
+                self.procs.state(p)
+            );
+        }
+    }
+
+    /// Whether some live, unfrozen processor computes this cycle — the
+    /// watchdog's progressing test (each one notes progress every cycle
+    /// under the reference stepper). O(1) from the cached counters;
+    /// debug builds check them against a scan.
+    fn computing_progress(&self) -> bool {
+        debug_assert_eq!(
+            self.procs.frozen_computing,
+            (0..self.procs.len())
+                .filter(|&p| {
+                    !self.procs.is_dead(p)
+                        && self.cycle < self.procs.stall_until[p]
+                        && matches!(self.procs.state(p), ProcState::Computing { .. })
+                })
+                .count(),
+            "frozen-compute count drifted at cycle {}",
+            self.cycle
+        );
+        self.procs.computing > self.procs.frozen_computing
+    }
+
+    /// One fast-forward advance: step the active set through an event
+    /// cycle, or jump a whole quiet span at once. The next event is the
+    /// minimum of the channel horizon and the calendar's earliest
+    /// processor wake — no O(P) scan, and no per-processor work for the
+    /// skipped cycles (they are charged lazily).
     pub(super) fn fast_step(&mut self) {
         let cal_next = self.sched.earliest(self.cycle);
         let channels = self.channel_horizon();
@@ -272,68 +341,129 @@ impl Machine<'_> {
             }
         }
         let next_event = match channels {
-            _ if cal_next <= self.cycle => {
-                // A processor wake is due now: step the cycle for real.
-                self.step();
+            // Nothing due now: a quiet span up to the next event.
+            Some(h) if cal_next > self.cycle => cal_next.min(h),
+            // A processor wake or a channel is due: step the cycle.
+            _ => {
+                self.active_step();
                 return;
             }
-            None => {
-                self.step();
-                return;
-            }
-            Some(h) => cal_next.min(h),
         };
         // Land exactly on `max_cycles` so the timeout check fires with
         // the same cycle as per-cycle stepping.
         let mut target = next_event.min(self.config.max_cycles);
         // A computing processor notes progress every cycle; only when
-        // none is running can the watchdog's silence bound bind. A dead
-        // processor's frozen Computing state is not progress. Without
-        // stall injection the cached counter answers in O(1); with it,
-        // stalled computing processors must be excluded the slow way.
-        let stalls_on = self.config.faults.stall_mean_interval > 0;
-        let progressing = if stalls_on {
-            (0..self.procs.len()).any(|p| {
-                !self.procs.is_dead(p)
-                    && self.cycle >= self.procs.stall_until[p]
-                    && matches!(self.procs.state(p), ProcState::Computing { .. })
-            })
+        // none is running can the watchdog's silence bound bind. Every
+        // processor counted as computing retires at or after `target`.
+        let progressing = self.computing_progress();
+        if progressing {
+            self.last_progress = target - 1;
         } else {
-            self.procs.computing > 0
-        };
-        if !progressing {
             target = target.min(self.last_progress.saturating_add(self.watchdog_limit + 1));
         }
         debug_assert!(target > self.cycle, "quiet horizon must move time forward");
-        let delta = target - self.cycle;
-        for p in 0..self.procs.len() {
-            if self.procs.is_dead(p) {
-                self.procs.stats[p].dead += delta;
-                continue;
-            }
-            if self.cycle < self.procs.stall_until[p] {
-                self.procs.stats[p].stalled += delta;
-                continue;
-            }
-            match self.procs.state(p) {
-                ProcState::Idle => self.procs.stats[p].idle += delta,
-                ProcState::Computing { remaining } => {
-                    self.procs.stats[p].busy += delta;
-                    // delta <= remaining by the horizon bound.
-                    self.procs.tick_computing(p, remaining - delta as u32);
-                }
-                ProcState::BlockedData | ProcState::BlockedSync => {
-                    self.procs.stats[p].blocked += delta;
-                }
-                ProcState::SpinLocal { .. } | ProcState::SpinMem { .. } => {
-                    self.procs.stats[p].spin += delta;
-                }
-                ProcState::Ready => unreachable!("a ready processor is never quiet"),
-            }
-        }
-        if progressing {
-            self.last_progress = target - 1;
-        }
+        self.kernel.quiet_jumps += 1;
         self.cycle = target;
+    }
+
+    /// One stepped cycle of the fast-forward kernel: the channel phases,
+    /// then the active set in id order (see the module docs). Visited
+    /// processors have their wakes re-armed as they step; processors
+    /// marked behind the cursor are re-armed at the end.
+    fn active_step(&mut self) {
+        self.channel_phases();
+        self.sched.take_due(self.cycle, &mut self.procs.wake_dirty);
+        #[cfg(debug_assertions)]
+        let mut visited = vec![0u64; self.procs.wake_dirty.len()]; // alloc-ok: debug oracle only
+        let (mut w, mut from) = (0, 0);
+        while w < self.procs.wake_dirty.len() {
+            // Re-read the word each time: processors stepped earlier may
+            // have marked later ones in it.
+            let word = self.procs.wake_dirty[w] & (u64::MAX << from);
+            if word == 0 {
+                (w, from) = (w + 1, 0);
+                continue;
+            }
+            let b = word.trailing_zeros();
+            let p = w * 64 + b as usize;
+            self.step_proc(p);
+            self.procs.wake_dirty[w] &= !(1u64 << b);
+            self.refresh_wake(p);
+            #[cfg(debug_assertions)]
+            {
+                visited[w] |= 1u64 << b;
+            }
+            (w, from) = if b == 63 { (w + 1, 0) } else { (w, b + 1) };
+        }
+        // Skipped computing processors tick this cycle too.
+        if self.computing_progress() {
+            self.note_progress();
+        }
+        #[cfg(debug_assertions)]
+        self.assert_no_skipped_event(&visited);
+        self.drain_dirty_wakes();
+        self.cycle += 1;
+    }
+
+    /// Marks every local spinner in the whole domains `lo..hi` (whose
+    /// images of `var` all just became `val`) whose predicate now
+    /// holds, so the stepper visits it. A domain whose spinners all
+    /// wait for more than `val` (its `need_min` bound) costs O(1);
+    /// otherwise its spinner bits are scanned, stale ones dropped and
+    /// the bound recomputed from the spinners still waiting on `var`.
+    pub(crate) fn wake_spinners(&mut self, var: SyncVar, val: u64, lo: usize, hi: usize) {
+        let domains = self.sync.domains.len();
+        for d in self.sync.domain_of(lo)..=self.sync.domain_of(hi - 1) {
+            let slot = var * domains + d;
+            if val < self.sync.need_min[slot] {
+                continue;
+            }
+            let (dlo, dhi) = self.sync.domain_range(d);
+            let mut need = u64::MAX;
+            for w in dlo / 64..dhi.div_ceil(64) {
+                let base = w * 64;
+                let mut word = self.procs.local_spin[w] & span_mask(base, dlo, dhi);
+                while word != 0 {
+                    let bit = word & word.wrapping_neg();
+                    word ^= bit;
+                    let p = base + bit.trailing_zeros() as usize;
+                    match self.procs.state(p) {
+                        ProcState::SpinLocal { var: v, pred } if v == var => {
+                            if pred.eval(val) {
+                                self.procs.mark_wake(p);
+                            }
+                            // Still spinning until its visit: keep it
+                            // in the bound (a lower bound may be low).
+                            need = need.min(threshold(pred));
+                        }
+                        ProcState::SpinLocal { .. } => {}
+                        _ => self.procs.local_spin[w] &= !bit,
+                    }
+                }
+            }
+            self.sync.need_min[slot] = need;
+        }
+    }
+
+    /// Marks processor `p` if it spins locally on `var` and its image
+    /// now satisfies it — the per-image form of
+    /// [`Machine::wake_spinners`] for the faulted and deferred paths.
+    #[inline]
+    pub(super) fn wake_if_satisfied(&mut self, p: usize, var: SyncVar) {
+        if let ProcState::SpinLocal { var: v, pred } = self.procs.state(p) {
+            if v == var && pred.eval(self.sync.image(p, var)) {
+                self.procs.mark_wake(p);
+            }
+        }
+    }
+
+    /// Parks processor `p` in a local-image spin on `var`, lowering its
+    /// domain's threshold bound so deliveries that could satisfy it
+    /// find it.
+    pub(crate) fn spin_local(&mut self, p: usize, var: SyncVar, pred: Pred) {
+        let slot = var * self.sync.domains.len() + self.sync.domain_of(p);
+        self.sync.need_min[slot] = self.sync.need_min[slot].min(threshold(pred));
+        self.procs.note_local_spin(p);
+        self.procs.set_state(p, ProcState::SpinLocal { var, pred });
     }
 }

@@ -28,10 +28,12 @@
 //!   above through one instruction at a time;
 //! * `schedule` — the **event schedule**: a calendar (bucket) queue over
 //!   per-processor wake deadlines, so the fast-forward kernel finds its
-//!   next event in O(occupied-buckets) instead of an O(P) scan;
+//!   next event, and the processors due at it, without an O(P) scan;
+//! * `lanes` — per-processor state ([`ProcLanes`]) with lazy
+//!   quiet-cycle charging and the wake bitsets;
 //! * `fast_forward` — the **fast-forward kernel**: the channel horizon,
-//!   per-processor wakes and their refresh, the quiet-span jump, and
-//!   the debug linear-scan oracle.
+//!   per-processor wakes, the active-set stepped cycle, the quiet-span
+//!   jump, and the debug oracles.
 //!
 //! Data layout is struct-of-arrays: per-processor state lives in
 //! [`ProcLanes`] (one lane per field, not a `Vec` of processor structs)
@@ -46,18 +48,24 @@
 //! a faulted run is reproducible byte-for-byte from its configuration.
 //!
 //! Stepping: per-cycle stepping ([`StepMode::Reference`]) is the
-//! executable specification, but the default execution engine is an
-//! **event-driven fast-forward kernel** ([`StepMode::FastForward`]) that
-//! jumps over *quiet* cycles — cycles in which the machine provably does
-//! nothing but tick stat counters — directly to the next observable
-//! event (transaction completion, bank completion, deferred image due
-//! time, compute retirement, spin-backoff expiry, stall boundary), bulk
-//! charging the skipped cycles to the same per-processor stat buckets
-//! the reference stepper would have ticked. Every RNG draw and trace
-//! write happens only at non-quiet cycles, so the two modes produce
-//! **bit-for-bit identical** [`RunStats`], [`Trace`] and `sync_final`
-//! (enforced by the equivalence tests) — under every fabric backend,
-//! because both modes drive the same subsystem interfaces.
+//! executable specification — every cycle, every processor — but the
+//! default execution engine is an **event-driven fast-forward kernel**
+//! ([`StepMode::FastForward`]) whose work is proportional to the
+//! processors that act, not to P. It jumps over *quiet* cycles —
+//! cycles in which the machine provably does nothing but tick stat
+//! counters — directly to the next observable event (transaction
+//! completion, bank completion, deferred image due time, compute
+//! retirement, spin-backoff expiry, stall boundary) in O(1), and in a
+//! stepped cycle it visits, in id order, only the processors whose wake
+//! is due or that this cycle's completions, grants, deliveries or
+//! earlier processors touched. A processor's skipped cycles are charged
+//! to its state's stat bucket lazily, in one addition, when it is next
+//! visited, before any transition made from outside its own step, and
+//! at run end. Every RNG draw and trace write happens only at visited
+//! processors of stepped cycles, so the two modes produce **bit-for-bit
+//! identical** [`RunStats`], [`Trace`] and `sync_final` (enforced by the
+//! equivalence tests) — under every fabric backend, because both modes
+//! drive the same subsystem interfaces.
 //!
 //! The next observable event comes from two sources: the
 //! O(banks + domains) [`Machine::channel_horizon`] over the buses,
@@ -65,12 +73,17 @@
 //! [`schedule::Calendar`] over per-processor wake deadlines, each
 //! refreshed in O(1) as its processor steps. A cached
 //! wake is always a **lower bound** on the processor's true next event:
-//! waking too early merely steps a quiet cycle (bit-identical by the
-//! quiet-cycle invariant), while waking late would miss an event — so
-//! every mutation that can pull an event earlier (a program completing,
-//! an oracle broadcast touching every image, a recovery rung) re-arms
-//! the affected wakes. Debug builds cross-check every jump against the
-//! retained linear-scan oracle ([`Machine::scan_horizon`]).
+//! waking too early merely visits a quiet processor (bit-identical by
+//! the quiet-cycle invariant), while waking late would miss an event —
+//! so every mutation that can pull another processor's event earlier
+//! marks it: a state transition, a program completion (its chain
+//! successor's home processor, and every idle one while rescued work
+//! is pooled), and an image delivery, which wakes only the local
+//! spinners whose predicate now holds, found through a per-(domain,
+//! variable) lower bound on the thresholds they wait for. Debug builds
+//! cross-check every jump against the retained linear-scan oracle
+//! ([`Machine::scan_horizon`]) and every stepped cycle against a
+//! skipped-processor oracle.
 //!
 //! Liveness under faults: on top of the precise [`Machine::deadlocked`]
 //! check, a **progress watchdog** tracks the last cycle on which the
@@ -87,6 +100,7 @@ mod dispatch;
 mod exec;
 pub mod fabric;
 mod fast_forward;
+mod lanes;
 mod memory;
 mod recovery_engine;
 mod schedule;
@@ -106,6 +120,7 @@ use crate::trace::Trace;
 use cache::CacheSystem;
 use dispatch::Dispatcher;
 use fabric::SyncState;
+use lanes::ProcLanes;
 use memory::{DataReqKind, MemorySystem};
 use recovery_engine::RecoveryEngine;
 use schedule::Calendar;
@@ -163,6 +178,26 @@ pub struct RunOutcome {
     /// Structured events — empty unless recording was turned on with
     /// [`Machine::enable_events`].
     pub events: EventRing,
+    /// Host-side work the stepping kernel did (see [`KernelCounters`]).
+    pub kernel: KernelCounters,
+}
+
+/// How much work the stepping kernel did to simulate a run — host
+/// cost, not simulated behaviour. Kept outside [`RunStats`] and
+/// [`RunMetrics`] on purpose: the two step modes simulate identical
+/// machines with very different kernel work, so these counters are the
+/// one part of a [`RunOutcome`] that legitimately differs between them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KernelCounters {
+    /// Cycles the kernel stepped (ran the channel phases and visited
+    /// processors in).
+    pub stepped_cycles: u64,
+    /// Quiet spans the fast-forward kernel jumped over in one move.
+    pub quiet_jumps: u64,
+    /// Processor visits: calls of the per-processor step. The
+    /// reference stepper makes P per cycle; the fast-forward kernel
+    /// only visits processors that act.
+    pub proc_visits: u64,
 }
 
 /// Runs a workload to completion on a machine.
@@ -194,8 +229,9 @@ pub fn run_reference(config: &MachineConfig, workload: &Workload) -> Result<RunO
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StepMode {
     /// Event-driven: jump over provably-quiet cycles directly to the
-    /// next observable event, bulk-charging the skipped cycles to the
-    /// correct stat buckets. Bit-identical to [`StepMode::Reference`].
+    /// next observable event and, in a stepped cycle, visit only the
+    /// processors that act, charging skipped cycles to the correct stat
+    /// buckets lazily. Bit-identical to [`StepMode::Reference`].
     #[default]
     FastForward,
     /// One cycle per step — the executable specification. Kept for the
@@ -228,187 +264,6 @@ pub(crate) enum ProcState {
         retry: DataReqKind,
         phase: SpinPhase,
     },
-}
-
-/// Per-processor state in struct-of-arrays layout: one lane per field,
-/// so the per-cycle loops and the fast-forward bulk-charge walk
-/// contiguous memory instead of striding over a `Vec` of processor
-/// structs.
-///
-/// The `state` and `dead` lanes are private: every transition must go
-/// through [`ProcLanes::set_state`] / [`ProcLanes::set_current`] /
-/// [`ProcLanes::kill`], which maintain the cached population counters
-/// (`engaged`, `active`, `computing`) that make [`Machine::finished`],
-/// [`Machine::deadlocked`] and the watchdog's progressing test O(1) on
-/// the fast path.
-#[derive(Debug)]
-pub(crate) struct ProcLanes {
-    state: Vec<ProcState>,
-    current: Vec<Option<usize>>,
-    pub(crate) ip: Vec<usize>,
-    /// Index of the instruction execution would resume from if this
-    /// program had to move to another processor right now: everything
-    /// before it has fully retired (re-running it would duplicate side
-    /// effects), nothing at or after it has (skipping it would lose
-    /// work). Maintained at dispatch and at every instruction issue;
-    /// the fail-stop rescue rung reads it when reclaiming work.
-    pub(crate) resume_ip: Vec<usize>,
-    pub(crate) stats: Vec<ProcBreakdown>,
-    /// Per-processor injected-stall end cycle (0 = not stalled).
-    pub(crate) stall_until: Vec<u64>,
-    /// Per-processor cycle of the next stall onset (`u64::MAX` when
-    /// stalls are disabled).
-    pub(crate) next_stall: Vec<u64>,
-    /// Per-processor planned fail-stop cycle (`u64::MAX` = never).
-    pub(crate) fail_at: Vec<u64>,
-    /// Fail-stop flag: a dead processor never steps, dispatches or
-    /// answers the sync bus again; its cycles accrue to `dead`.
-    dead: Vec<bool>,
-    /// One bit per processor: set when a lane write may have moved the
-    /// processor's wake deadline, cleared when the fast-forward stepper
-    /// re-arms it. Wakes are *absolute* cycles (a computing processor's
-    /// retire cycle, a spinner's NACK deadline), so a processor whose
-    /// bit is clear still has a live, correct calendar entry — the
-    /// stepper only recomputes wakes for dirtied processors instead of
-    /// all P every cycle.
-    wake_dirty: Vec<u64>,
-    /// Processors (dead or alive) that are not (`Idle` with no program):
-    /// 0 is the processor side of [`Machine::finished`].
-    engaged: usize,
-    /// Live processors in `Ready`/`Computing`/`Blocked*` — states that
-    /// by themselves rule out a deadlock verdict.
-    active: usize,
-    /// Live processors in `Computing` — each notes progress every
-    /// cycle, which is what the watchdog's progressing test wants.
-    computing: usize,
-}
-
-impl ProcLanes {
-    fn new(p: usize, next_stall: Vec<u64>, fail_at: Vec<u64>) -> Self {
-        // Every bit starts dirty so the first stepped cycle arms every
-        // wake (processors that never transition — idle with no work —
-        // would otherwise keep their initial cycle-0 deadline forever).
-        let mut wake_dirty = vec![u64::MAX; p.div_ceil(64)];
-        if !p.is_multiple_of(64) {
-            *wake_dirty.last_mut().expect("at least one word") = (1u64 << (p % 64)) - 1;
-        }
-        Self {
-            state: vec![ProcState::Idle; p],
-            current: vec![None; p],
-            ip: vec![0; p],
-            resume_ip: vec![0; p],
-            stats: vec![ProcBreakdown::default(); p],
-            stall_until: vec![0; p],
-            next_stall,
-            fail_at,
-            dead: vec![false; p],
-            wake_dirty,
-            engaged: 0,
-            active: 0,
-            computing: 0,
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.state.len()
-    }
-
-    #[inline]
-    pub(crate) fn state(&self, p: usize) -> ProcState {
-        self.state[p]
-    }
-
-    #[inline]
-    pub(crate) fn current(&self, p: usize) -> Option<usize> {
-        self.current[p]
-    }
-
-    #[inline]
-    pub(crate) fn is_dead(&self, p: usize) -> bool {
-        self.dead[p]
-    }
-
-    /// This processor's contribution to the cached counters under its
-    /// current lanes.
-    #[inline]
-    fn contrib(&self, p: usize) -> (usize, usize, usize) {
-        let engaged =
-            usize::from(!(matches!(self.state[p], ProcState::Idle) && self.current[p].is_none()));
-        if self.dead[p] {
-            return (engaged, 0, 0);
-        }
-        match self.state[p] {
-            ProcState::Ready | ProcState::BlockedData | ProcState::BlockedSync => (engaged, 1, 0),
-            ProcState::Computing { .. } => (engaged, 1, 1),
-            _ => (engaged, 0, 0),
-        }
-    }
-
-    #[inline]
-    fn retract(&mut self, p: usize) {
-        let (e, a, c) = self.contrib(p);
-        self.engaged -= e;
-        self.active -= a;
-        self.computing -= c;
-    }
-
-    #[inline]
-    fn restore(&mut self, p: usize) {
-        let (e, a, c) = self.contrib(p);
-        self.engaged += e;
-        self.active += a;
-        self.computing += c;
-    }
-
-    /// Flags `p`'s wake deadline as needing recomputation at the end of
-    /// the current stepped cycle.
-    #[inline]
-    pub(crate) fn mark_wake(&mut self, p: usize) {
-        self.wake_dirty[p / 64] |= 1 << (p % 64);
-    }
-
-    #[inline]
-    pub(crate) fn set_state(&mut self, p: usize, s: ProcState) {
-        self.mark_wake(p);
-        self.retract(p);
-        self.state[p] = s;
-        self.restore(p);
-    }
-
-    /// Advances a `Computing` processor to `left` remaining cycles
-    /// (reaching `Ready` at zero). Both transitions keep the processor
-    /// engaged and active, so only the `computing` counter can change —
-    /// this is the hottest state write in both stepping modes, and it
-    /// skips the full retract/restore recount of [`Self::set_state`].
-    /// It also leaves the wake bit clean: the processor's wake is the
-    /// absolute cycle it issues again (retire + 1 while computing, the
-    /// same cycle once `Ready`), which ticking never moves.
-    #[inline]
-    pub(crate) fn tick_computing(&mut self, p: usize, left: u32) {
-        debug_assert!(matches!(self.state[p], ProcState::Computing { .. }));
-        if left == 0 {
-            self.state[p] = ProcState::Ready;
-            self.computing -= usize::from(!self.dead[p]);
-        } else {
-            self.state[p] = ProcState::Computing { remaining: left };
-        }
-    }
-
-    #[inline]
-    pub(crate) fn set_current(&mut self, p: usize, cur: Option<usize>) {
-        self.mark_wake(p);
-        self.retract(p);
-        self.current[p] = cur;
-        self.restore(p);
-    }
-
-    /// Marks processor `p` fail-stopped (never un-killed).
-    pub(crate) fn kill(&mut self, p: usize) {
-        self.mark_wake(p);
-        self.retract(p);
-        self.dead[p] = true;
-        self.restore(p);
-    }
 }
 
 /// The machine state (see [`run`] for the one-shot entry point).
@@ -459,6 +314,9 @@ pub struct Machine<'a> {
     /// Structured event ring; disabled (capacity 0) unless
     /// [`Machine::enable_events`] was called.
     pub(crate) events: EventRing,
+    /// Kernel work counters (host cost; never part of the equivalence
+    /// contract).
+    kernel: KernelCounters,
 }
 
 impl<'a> Machine<'a> {
@@ -554,6 +412,7 @@ impl<'a> Machine<'a> {
             trace: Trace::new(),
             metrics: RunMetrics::new(p, n_vars),
             events: EventRing::disabled(),
+            kernel: KernelCounters::default(),
             rng,
             last_progress: 0,
             watchdog_limit,
@@ -618,6 +477,8 @@ impl<'a> Machine<'a> {
             .record(self.cycle, SimEventKind::WatchdogArm { limit: self.watchdog_limit });
         loop {
             if self.finished() {
+                // Pay every processor's trailing quiet cycles.
+                self.settle_all();
                 let mut stats = std::mem::take(&mut self.stats);
                 stats.makespan = self.cycle;
                 stats.procs.copy_from_slice(&self.procs.stats);
@@ -627,6 +488,7 @@ impl<'a> Machine<'a> {
                     sync_final: std::mem::take(&mut self.sync.vars.global),
                     metrics: std::mem::take(&mut self.metrics),
                     events: std::mem::take(&mut self.events),
+                    kernel: self.kernel,
                 });
             }
             if self.cycle >= self.config.max_cycles {
@@ -641,9 +503,12 @@ impl<'a> Machine<'a> {
                 // memory-polling survivors keep the bus busy — their
                 // polls count as progress — so a dead producer under the
                 // shared-memory transport never trips the watchdog.
-                if self.rec.on && self.watchdog_rescue() {
-                    self.refresh_all_wakes_now();
-                    continue;
+                if self.rec.on {
+                    self.settle_all();
+                    if self.watchdog_rescue() {
+                        self.refresh_all_wakes_now();
+                        continue;
+                    }
                 }
                 if self.rec.on && self.rescue_settling() {
                     // Rescued work is pending but every would-be swap
@@ -670,19 +535,18 @@ impl<'a> Machine<'a> {
             if self.cycle.saturating_sub(self.last_progress) > self.watchdog_limit {
                 // The escalation point: with recovery armed, try the
                 // repair rung first — force-sync healable images from the
-                // global state and keep running instead of failing.
-                if self.rec.on && self.watchdog_repair() {
-                    self.refresh_all_wakes_now();
-                    continue;
-                }
-                // Repair can't help (no gapped-but-satisfied image). If
+                // global state and keep running instead of failing. If
+                // repair can't help (no gapped-but-satisfied image) and
                 // the diagnosis says the producer is *dead* rather than
                 // the value lost in flight, take the rescue rung:
                 // reclaim the fail-stopped processors' unretired work
                 // and reissue it to the survivor quorum.
-                if self.rec.on && self.watchdog_rescue() {
-                    self.refresh_all_wakes_now();
-                    continue;
+                if self.rec.on {
+                    self.settle_all();
+                    if self.watchdog_repair() || self.watchdog_rescue() {
+                        self.refresh_all_wakes_now();
+                        continue;
+                    }
                 }
                 // Livelock: cycles are being burned (spins, redeliveries,
                 // stalls) but nothing observable has happened for longer
@@ -882,30 +746,34 @@ impl<'a> Machine<'a> {
             })
     }
 
+    /// One reference cycle: the channel phases, then every processor
+    /// in id order — the executable specification.
     fn step(&mut self) {
-        self.apply_deferred_images();
-        self.complete_transactions();
-        self.grant_transactions();
-        let ff = matches!(self.mode, StepMode::FastForward);
-        self.disp.dirty = false;
-        self.sync.images_touched = false;
+        self.channel_phases();
         for p in 0..self.procs.len() {
             self.step_proc(p);
         }
-        if ff {
-            if self.disp.dirty || self.sync.images_touched {
-                // A program completed (making parked work claimable) or an
-                // oracle broadcast rewrote every image mid-loop: wakes
-                // cached before the change could now be too late — re-arm
-                // them all.
-                self.refresh_all_wakes();
-            } else {
-                // Only processors whose lanes were written this cycle can
-                // have moved their (absolute) wake deadline.
-                self.drain_dirty_wakes();
-            }
-        }
         self.cycle += 1;
+    }
+
+    /// The machine-wide part of a stepped cycle, shared by both step
+    /// modes: deferred image updates, then completions, then grants.
+    fn channel_phases(&mut self) {
+        self.kernel.stepped_cycles += 1;
+        self.apply_deferred_images();
+        self.complete_transactions();
+        self.grant_transactions();
+    }
+
+    /// Charges every processor's uncharged cycles up to the current
+    /// cycle, so stats and `Computing` countdowns read exactly as the
+    /// reference stepper's would at the start of it. Cold: the recovery
+    /// rungs (which read progress off the stats and transition
+    /// processors wholesale) and run end.
+    fn settle_all(&mut self) {
+        for p in 0..self.procs.len() {
+            self.procs.charge(p, self.cycle);
+        }
     }
 
     /// Data-path completions first, then the fabric's broadcast
@@ -926,6 +794,8 @@ impl<'a> Machine<'a> {
 
     pub(crate) fn unblock(&mut self, proc: usize) {
         self.close_wait(proc);
+        // The processor waited in its old state up to this cycle.
+        self.procs.charge(proc, self.cycle);
         self.procs.set_state(proc, ProcState::Ready);
         if self.procs.is_dead(proc) {
             // An in-flight transaction still performs after its issuer
@@ -947,6 +817,8 @@ impl<'a> Machine<'a> {
     }
 }
 
+#[cfg(test)]
+mod active_set_tests;
 #[cfg(test)]
 mod fabric_tests;
 #[cfg(test)]

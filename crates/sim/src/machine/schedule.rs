@@ -1,6 +1,8 @@
 //! The event schedule: a calendar (bucket) queue over per-processor
 //! wake deadlines, replacing the fast-forward kernel's O(P) linear scan
-//! with an O(occupied-buckets) lookup.
+//! with an O(occupied-buckets) lookup of the next event and an
+//! O(bucket) hand-over of the processors due at it
+//! ([`Calendar::take_due`]).
 //!
 //! Each source (processor) has one **authoritative deadline** in
 //! [`Calendar::deadline`] (`u64::MAX` = parked). Scheduling never
@@ -74,11 +76,11 @@ impl Calendar {
     /// tests use this to drive the ring path at small source counts.
     pub(crate) fn with_ring(n: usize, use_ring: bool) -> Self {
         let mut cal = Self {
-            deadline: vec![u64::MAX; n],
-            buckets: vec![Vec::new(); BUCKETS],
+            deadline: vec![u64::MAX; n],        // alloc-ok: setup
+            buckets: vec![Vec::new(); BUCKETS], // alloc-ok: setup
             occupied: [0; WORDS],
             base: 0,
-            overflow: Vec::new(),
+            overflow: Vec::new(), // alloc-ok: setup
             overflow_min: u64::MAX,
             use_ring,
         };
@@ -200,6 +202,43 @@ impl Calendar {
             }
             self.sweep_overflow();
             swept = true;
+        }
+    }
+
+    /// Sets the bit of every source due at `now` in the bitset `due`
+    /// (one bit per source) and parks it until it is rescheduled. Must
+    /// follow `earliest(now)` in the same cycle: that advanced the ring
+    /// base to `now`'s bucket and re-homed any due overflow entry, and
+    /// since deadlines are never scheduled in the past, every due
+    /// source sits in that one bucket with a deadline of exactly `now`.
+    pub(crate) fn take_due(&mut self, now: u64, due: &mut [u64]) {
+        if !self.use_ring {
+            for (src, d) in self.deadline.iter_mut().enumerate() {
+                if *d <= now {
+                    due[src / 64] |= 1 << (src % 64);
+                    *d = u64::MAX;
+                }
+            }
+            return;
+        }
+        let abs = now >> BUCKET_SHIFT;
+        debug_assert_eq!(self.base, abs, "take_due must follow earliest(now)");
+        let slot = Self::slot(abs);
+        let deadline = &mut self.deadline;
+        self.buckets[slot].retain(|&src| {
+            let d = &mut deadline[src as usize];
+            if *d >> BUCKET_SHIFT != abs {
+                return false; // dead (rescheduled or parked)
+            }
+            if *d > now {
+                return true;
+            }
+            due[src as usize / 64] |= 1 << (src % 64);
+            *d = u64::MAX;
+            false
+        });
+        if self.buckets[slot].is_empty() {
+            self.clear(slot);
         }
     }
 
@@ -325,6 +364,51 @@ mod tests {
         assert_eq!(cal.earliest(3 * span), 3 * span + 17);
         cal.schedule(0, u64::MAX);
         assert_eq!(cal.earliest(3 * span + 20), 5 * span + 1);
+    }
+
+    /// Property test for the active set's due hand-over: stepping from
+    /// event to event the way the kernel does, `take_due` yields
+    /// exactly the sources whose deadline is the current cycle, in the
+    /// ring and scan regimes alike.
+    #[test]
+    fn take_due_hands_over_exactly_the_due_sources() {
+        for case in 0..24u64 {
+            let mut rng = SplitMix64::new(0xD0E_0000 + case);
+            let n = 1 + rng.below(200) as usize;
+            let mut cal = Calendar::with_ring(n, case % 2 == 0 || n > SCAN_THRESHOLD);
+            let mut shadow = vec![0u64; n];
+            let mut due = vec![0u64; n.div_ceil(64)];
+            let mut now = 0;
+            for _ in 0..300 {
+                // The cycle after a step finds the next event, then the
+                // kernel jumps to it and asks again there.
+                let next = oracle(&shadow);
+                assert_eq!(cal.earliest(now), next, "case {case}");
+                if next == u64::MAX {
+                    break;
+                }
+                now = next;
+                assert_eq!(cal.earliest(now), now, "case {case}");
+                due.fill(0);
+                cal.take_due(now, &mut due);
+                for src in 0..n {
+                    let taken = due[src / 64] >> (src % 64) & 1 == 1;
+                    assert_eq!(taken, shadow[src] == now, "case {case}, source {src} at {now}");
+                    // Visited sources re-arm forward; some untouched
+                    // ones are rescheduled too, as marked processors are.
+                    if taken || rng.below(8) == 0 {
+                        let t = match rng.below(6) {
+                            0 => u64::MAX,
+                            1 => now + 1 + rng.below(1 << 16),
+                            _ => now + 1 + rng.below(300),
+                        };
+                        shadow[src] = t;
+                        cal.schedule(src, t);
+                    }
+                }
+                now += 1;
+            }
+        }
     }
 
     /// Property test: across seeded random schedules — including
