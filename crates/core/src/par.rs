@@ -165,6 +165,15 @@ where
 mod tests {
     use super::*;
 
+    /// Serializes the tests that enter `par_map_threads`: the
+    /// `IN_FLIGHT` guard is process-wide, so `panic_propagates` can only
+    /// assert it is back to zero while no sibling test is inside a call.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn thread_env_parsing_is_strict() {
         assert_eq!(threads_from_env("1"), Ok(1));
@@ -198,6 +207,7 @@ mod tests {
 
     #[test]
     fn preserves_order_and_results() {
+        let _serial = serial();
         let items: Vec<u64> = (0..100).collect();
         let serial: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
         for threads in [1, 2, 4, 7] {
@@ -208,12 +218,14 @@ mod tests {
 
     #[test]
     fn handles_empty_and_single() {
+        let _serial = serial();
         assert_eq!(par_map_threads(4, Vec::<u32>::new(), |x| x), Vec::<u32>::new());
         assert_eq!(par_map_threads(4, vec![9], |x: u32| x + 1), vec![10]);
     }
 
     #[test]
     fn nested_calls_run_serially() {
+        let _serial = serial();
         let outer = par_map_threads(2, vec![1u64, 2, 3, 4], |x| {
             let inner = par_map_threads(2, vec![10u64, 20], move |y| y + x);
             inner.iter().sum::<u64>()
@@ -223,6 +235,7 @@ mod tests {
 
     #[test]
     fn moves_non_clone_items() {
+        let _serial = serial();
         let items: Vec<Box<u64>> = (0..16).map(Box::new).collect();
         let got = par_map_threads(3, items, |b| *b * 2);
         assert_eq!(got, (0..16).map(|x| x * 2).collect::<Vec<u64>>());
@@ -230,6 +243,7 @@ mod tests {
 
     #[test]
     fn panic_propagates() {
+        let _serial = serial();
         let r = std::panic::catch_unwind(|| {
             par_map_threads(2, vec![0u32, 1, 2, 3], |x| {
                 assert_ne!(x, 2, "boom");
