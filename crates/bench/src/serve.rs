@@ -17,6 +17,7 @@
 //!    journal, and the grid is resubmitted: zero recomputation and a
 //!    byte-identical aggregate hash.
 
+use datasync_serve::json::{self, Json};
 use datasync_serve::{ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -122,25 +123,22 @@ fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> String {
     out
 }
 
-/// Extracts `"key":<u64>` from the response's summary line.
-fn summary_u64(response: &str, key: &str) -> u64 {
-    response
-        .lines()
-        .last()
-        .and_then(|l| l.split(&format!("\"{key}\":")).nth(1))
-        .and_then(|rest| {
-            rest.chars().take_while(char::is_ascii_digit).collect::<String>().parse().ok()
-        })
-        .unwrap_or(u64::MAX)
+/// Reads `key` from the response's last line: a sweep's `summary`
+/// object, or the `/stats` document itself.
+fn summary_field(response: &str, key: &str) -> Option<Json> {
+    let doc = json::parse(response.lines().last()?).ok()?;
+    doc.get("summary").unwrap_or(&doc).get(key).cloned()
 }
 
-/// Extracts the 16-hex aggregate hash from the summary line.
+/// A numeric summary field (`u64::MAX` when missing).
+fn summary_u64(response: &str, key: &str) -> u64 {
+    summary_field(response, key).and_then(|v| v.as_u64()).unwrap_or(u64::MAX)
+}
+
+/// The aggregate hash from the summary line (empty when missing).
 fn aggregate_hash(response: &str) -> String {
-    response
-        .lines()
-        .last()
-        .and_then(|l| l.split("\"aggregate_hash\":\"").nth(1))
-        .map(|rest| rest.chars().take(16).collect())
+    summary_field(response, "aggregate_hash")
+        .and_then(|v| v.as_str().map(str::to_string))
         .unwrap_or_default()
 }
 
@@ -343,21 +341,41 @@ mod tests {
     }
 
     #[test]
-    fn serve_reproducers_replay_through_the_chaos_harness() {
-        // The service hand-writes its quarantine reproducers in the
-        // chaos-fuzzer format (the dependency arrow points bench ->
-        // serve, so serve cannot call ChaosCase::to_json itself); this
-        // cross-check pins the two serializations together.
-        use crate::chaos::{run_case, ChaosCase};
+    fn serve_reproducers_keep_their_machine_and_replay() {
+        // A quarantined cell's reproducer must name the machine the cell
+        // ran on: replayed through the chaos harness, it rebuilds the
+        // same fabric (cluster geometry included), cache and fault plan,
+        // and every machine invariant holds.
+        use crate::chaos::run_case;
+        use datasync_schemes::RunCell;
         use datasync_serve::spec::CellSpec;
-        for (fault_pct, seed) in [(0u32, 1u64), (35, 13), (60, 99)] {
-            let spec = CellSpec { fault_pct, seed, ..CellSpec::default() };
-            let doc = datasync_serve::runner::chaos_reproducer(&spec);
-            let case = ChaosCase::from_json(&doc).expect("serve reproducers parse as chaos cases");
-            assert_eq!(case.scheme, spec.scheme);
-            assert_eq!(case.iterations, spec.iterations);
-            assert_eq!(case.processors, spec.processors);
-            run_case(&case).expect("replayed cell holds machine invariants");
+        use datasync_sim::FabricKind;
+        let starved =
+            CellSpec { iterations: 8, deadline_cycles: 1, seed: 5, ..CellSpec::default() };
+        let cells = [
+            // A geometry away from every parse default.
+            CellSpec {
+                fabric: FabricKind::Clustered {
+                    clusters: 2,
+                    bridge_latency: 1,
+                    coalesce_window: 0,
+                },
+                processors: 8,
+                ..starved.clone()
+            },
+            // The default cluster count (4) does not divide P = 2.
+            CellSpec { fabric: FabricKind::clustered(2), processors: 2, ..starved.clone() },
+            // A flat faulted cell.
+            CellSpec { fault_pct: 35, seed: 13, ..starved },
+        ];
+        for spec in cells {
+            let run = datasync_serve::run_cell(&spec);
+            assert_eq!(run.record.status, "quarantined", "{:?}", run.record);
+            let doc = run.reproducer.expect("quarantined cells carry a reproducer");
+            let cell = RunCell::from_json(&doc).expect("serve reproducers parse as run cells");
+            assert_eq!(cell.fabric, spec.fabric, "{doc}");
+            assert_eq!(cell, RunCell::from(&spec), "{doc}");
+            run_case(&cell).expect("replayed cell holds machine invariants");
         }
     }
 }

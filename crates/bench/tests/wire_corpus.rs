@@ -112,7 +112,7 @@ fn record_line_bytes_and_hash_are_pinned() {
 
 /// The chaos reproducer of fuzz cell `index` of master seed 1989.
 fn chaos_doc(index: usize) -> String {
-    chaos::ChaosCase::generate(1989, index).to_json()
+    chaos::generate(1989, index).to_json()
 }
 
 /// `(to_json, fnv1a_hex)` of fuzz cells 0..8 of seed 1989: cells 0, 1

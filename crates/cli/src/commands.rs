@@ -14,8 +14,42 @@ use datasync_schemes::scheme::Scheme;
 use datasync_schemes::{
     BarrierPhased, InstanceBased, ProcessOriented, ReferenceBased, StatementOriented,
 };
-use datasync_sim::{CacheModel, CoherenceProtocol, FabricKind, MachineConfig};
+use datasync_sim::{json, CacheModel, CoherenceProtocol, FabricKind, MachineConfig};
 use std::fmt::Write as _;
+
+/// The machine-knob flags every run-building subcommand accepts: the
+/// sync fabric with its cluster geometry, and the private caches.
+const MACHINE_FLAGS: [&str; 9] = [
+    "fabric",
+    "clusters",
+    "bridge-latency",
+    "coalesce-window",
+    "cache",
+    "cache-sets",
+    "cache-assoc",
+    "cache-line",
+    "sync-uncached",
+];
+
+/// `allowed` plus [`MACHINE_FLAGS`], for [`Parsed::expect_only`].
+fn with_machine_flags<'a>(allowed: &[&'a str]) -> Vec<&'a str> {
+    [allowed, &MACHINE_FLAGS[..]].concat()
+}
+
+/// The CLI flag for a knob's wire name (`bridge_latency` →
+/// `bridge-latency`).
+fn flag_of(field: &str) -> String {
+    field.replace('_', "-")
+}
+
+/// Reads an optional knob flag, narrowed to `u32` through the checked
+/// reader: an out-of-range value is an error, never a wrapped one.
+fn knob_flag(p: &Parsed, flag: &str) -> Result<Option<u32>, String> {
+    if p.get(flag).is_none() && !p.has(flag) {
+        return Ok(None);
+    }
+    json::checked(&format!("--{flag}"), p.get_u64(flag, 0)?).map(Some)
+}
 
 /// Parses `--fabric` (defaulting to the paper's dedicated sync bus).
 /// `--fabric clustered` opens the two-level geometry knobs:
@@ -24,19 +58,15 @@ use std::fmt::Write as _;
 /// error so a typo cannot silently fall back to a flat topology.
 fn parse_fabric(p: &Parsed) -> Result<FabricKind, String> {
     let word = p.get("fabric").unwrap_or("dedicated");
-    let kind = FabricKind::parse(word).ok_or_else(|| {
-        format!("unknown --fabric '{word}' (dedicated | shared | ideal | clustered)")
-    })?;
-    if let FabricKind::Clustered { clusters, bridge_latency, coalesce_window } = kind {
-        return Ok(FabricKind::Clustered {
-            clusters: p.get_u64("clusters", u64::from(clusters))? as u32,
-            bridge_latency: p.get_u64("bridge-latency", u64::from(bridge_latency))? as u32,
-            coalesce_window: p.get_u64("coalesce-window", u64::from(coalesce_window))? as u32,
-        });
+    if FabricKind::parse(word).is_none() {
+        return Err(format!("unknown --fabric '{word}' (dedicated | shared | ideal | clustered)"));
     }
-    for knob in ["clusters", "bridge-latency", "coalesce-window"] {
-        if p.get(knob).is_some() {
-            return Err(format!("--{knob} requires --fabric clustered (got '{word}')"));
+    let kind = FabricKind::decode(word, |field| knob_flag(p, &flag_of(field)))?;
+    if !kind.is_clustered() {
+        for flag in FabricKind::GEOMETRY_FIELDS.map(flag_of) {
+            if p.get(&flag).is_some() {
+                return Err(format!("--{flag} requires --fabric clustered (got '{word}')"));
+            }
         }
     }
     Ok(kind)
@@ -49,19 +79,18 @@ fn parse_fabric(p: &Parsed) -> Result<FabricKind, String> {
 /// out of the caches.
 fn parse_cache(p: &Parsed) -> Result<CacheModel, String> {
     let word = p.get("cache").unwrap_or("none");
-    if word == "none" {
-        return Ok(CacheModel::None);
+    if word != "none" && CoherenceProtocol::parse(word).is_none() {
+        return Err(format!("unknown --cache '{word}' (none | mesi | dragon)"));
     }
-    let protocol = CoherenceProtocol::parse(word)
-        .ok_or_else(|| format!("unknown --cache '{word}' (none | mesi | dragon)"))?;
-    let mut model = CacheModel::private(protocol);
-    if let CacheModel::Private { sets, assoc, line_words, cache_sync, .. } = &mut model {
-        *sets = p.get_u64("cache-sets", u64::from(*sets))? as u32;
-        *assoc = p.get_u64("cache-assoc", u64::from(*assoc))? as u32;
-        *line_words = p.get_u64("cache-line", u64::from(*line_words))? as u32;
-        *cache_sync = !p.has("sync-uncached");
-    }
-    Ok(model)
+    let sync_field = CacheModel::FIELDS[3];
+    let defaults = CacheModel::private(CoherenceProtocol::default()).fields();
+    CacheModel::decode(word, defaults, |field| {
+        if field == sync_field {
+            Ok(p.has("sync-uncached").then_some(0))
+        } else {
+            knob_flag(p, &flag_of(field))
+        }
+    })
 }
 
 /// Builds the selected example loop, or parses one from `--file`.
@@ -153,26 +182,9 @@ pub fn analyze(p: &Parsed) -> Result<String, CliError> {
 
 /// `datasync simulate`.
 pub fn simulate(p: &Parsed) -> Result<String, CliError> {
-    p.expect_only(&[
-        "loop",
-        "file",
-        "n",
-        "m",
-        "scheme",
-        "procs",
-        "x",
-        "banks",
-        "fabric",
-        "clusters",
-        "bridge-latency",
-        "coalesce-window",
-        "timeline",
-        "cache",
-        "cache-sets",
-        "cache-assoc",
-        "cache-line",
-        "sync-uncached",
-    ])?;
+    p.expect_only(&with_machine_flags(&[
+        "loop", "file", "n", "m", "scheme", "procs", "x", "banks", "timeline",
+    ]))?;
     let nest = build_loop(p)?;
     let procs = p.get_u64("procs", 4)? as usize;
     let x = p.get_u64("x", 2 * procs as u64)? as usize;
@@ -250,23 +262,7 @@ pub fn simulate(p: &Parsed) -> Result<String, CliError> {
 
 /// `datasync compare`.
 pub fn compare(p: &Parsed) -> Result<String, CliError> {
-    p.expect_only(&[
-        "loop",
-        "file",
-        "n",
-        "m",
-        "procs",
-        "x",
-        "fabric",
-        "clusters",
-        "bridge-latency",
-        "coalesce-window",
-        "cache",
-        "cache-sets",
-        "cache-assoc",
-        "cache-line",
-        "sync-uncached",
-    ])?;
+    p.expect_only(&with_machine_flags(&["loop", "file", "n", "m", "procs", "x"]))?;
     let nest = build_loop(p)?;
     let procs = p.get_u64("procs", 4)? as usize;
     let x = p.get_u64("x", 2 * procs as u64)? as usize;
@@ -378,27 +374,9 @@ fn prepare_run(
 
 /// `datasync trace`.
 pub fn trace(p: &Parsed) -> Result<String, CliError> {
-    p.expect_only(&[
-        "loop",
-        "file",
-        "n",
-        "m",
-        "scheme",
-        "procs",
-        "x",
-        "banks",
-        "fabric",
-        "clusters",
-        "bridge-latency",
-        "coalesce-window",
-        "out",
-        "events",
-        "cache",
-        "cache-sets",
-        "cache-assoc",
-        "cache-line",
-        "sync-uncached",
-    ])?;
+    p.expect_only(&with_machine_flags(&[
+        "loop", "file", "n", "m", "scheme", "procs", "x", "banks", "out", "events",
+    ]))?;
     let (compiled, config, procs) = prepare_run(p)?;
     let capacity = p.get_u64("events", 1 << 20)? as usize;
     if capacity == 0 {
@@ -423,25 +401,9 @@ pub fn trace(p: &Parsed) -> Result<String, CliError> {
 
 /// `datasync metrics`.
 pub fn metrics(p: &Parsed) -> Result<String, CliError> {
-    p.expect_only(&[
-        "loop",
-        "file",
-        "n",
-        "m",
-        "scheme",
-        "procs",
-        "x",
-        "banks",
-        "fabric",
-        "clusters",
-        "bridge-latency",
-        "coalesce-window",
-        "cache",
-        "cache-sets",
-        "cache-assoc",
-        "cache-line",
-        "sync-uncached",
-    ])?;
+    p.expect_only(&with_machine_flags(&[
+        "loop", "file", "n", "m", "scheme", "procs", "x", "banks",
+    ]))?;
     let (compiled, config, _) = prepare_run(p)?;
     let out = compiled.run(&config)?;
     let mut text = String::new();
@@ -477,23 +439,7 @@ fn robustness_exit_code(t: &datasync_schemes::robustness::Tally) -> i32 {
 
 /// `datasync robustness`.
 pub fn robustness(p: &Parsed) -> Result<crate::CliOutput, CliError> {
-    p.expect_only(&[
-        "n",
-        "procs",
-        "seed",
-        "max-cycles",
-        "recovery",
-        "fabric",
-        "clusters",
-        "bridge-latency",
-        "coalesce-window",
-        "json",
-        "cache",
-        "cache-sets",
-        "cache-assoc",
-        "cache-line",
-        "sync-uncached",
-    ])?;
+    p.expect_only(&with_machine_flags(&["n", "procs", "seed", "max-cycles", "recovery", "json"]))?;
     let n = p.get_u64("n", 16)? as i64;
     let procs = p.get_u64("procs", 4)? as usize;
     let seed = p.get_u64("seed", 1989)?;
@@ -559,10 +505,11 @@ pub fn robustness(p: &Parsed) -> Result<crate::CliOutput, CliError> {
 /// Replays one reproducer file, appending its verdict to `text`.
 /// Returns the exit code for that case (0 clean, 7 violated).
 fn replay_one(path: &str, text: &mut String) -> Result<i32, CliError> {
-    use datasync_bench::chaos::{run_case, ChaosCase};
+    use datasync_bench::chaos::run_case;
+    use datasync_schemes::RunCell;
     let doc = std::fs::read_to_string(path)
         .map_err(|e| CliError::from(format!("cannot read '{path}': {e}")))?;
-    let case = ChaosCase::from_json(&doc)?;
+    let case = RunCell::from_json(&doc)?;
     let _ = writeln!(
         text,
         "replaying {path}: scheme {}, fabric {}, N={}, P={}, plan seed {}",

@@ -617,6 +617,30 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_machine_flags_are_rejected_not_wrapped() {
+        // 4294967298 = 2^32 + 2: an `as u32` narrowing would run a legal
+        // two-cluster machine instead of refusing the flag.
+        for (flag, value, fabric) in [
+            ("--clusters", "4294967298", "clustered"),
+            ("--bridge-latency", "4294967297", "clustered"),
+            ("--coalesce-window", "4294967296", "clustered"),
+        ] {
+            let e = run(&["simulate", "--n", "8", "--fabric", fabric, flag, value]).unwrap_err();
+            assert_eq!(e.code, 2, "{flag}: {}", e.message);
+            assert!(e.message.contains("out of range"), "{flag}: {}", e.message);
+        }
+        for (flag, value) in [
+            ("--cache-sets", "4294967312"),
+            ("--cache-assoc", "4294967298"),
+            ("--cache-line", "4294967300"),
+        ] {
+            let e = run(&["simulate", "--n", "8", "--cache", "mesi", flag, value]).unwrap_err();
+            assert_eq!(e.code, 2, "{flag}: {}", e.message);
+            assert!(e.message.contains("out of range"), "{flag}: {}", e.message);
+        }
+    }
+
+    #[test]
     fn robustness_fabric_axis() {
         let out =
             run(&["robustness", "--n", "6", "--procs", "4", "--seed", "3", "--fabric", "all"])
@@ -663,11 +687,11 @@ mod tests {
 
     #[test]
     fn chaos_replays_a_reproducer_file() {
-        use datasync_bench::chaos::ChaosCase;
+        use datasync_bench::chaos::generate;
         let dir = std::env::temp_dir().join("datasync_cli_chaos_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("case.json");
-        std::fs::write(&path, ChaosCase::generate(7, 4).to_json()).unwrap();
+        std::fs::write(&path, generate(7, 4).to_json()).unwrap();
         let out = run_full(&["chaos", "--replay", path.to_str().unwrap()]).unwrap();
         assert_eq!(out.code, 0, "{}", out.text);
         assert!(out.text.contains("all machine invariants hold"), "{}", out.text);
@@ -678,12 +702,12 @@ mod tests {
 
     #[test]
     fn chaos_replays_a_directory_of_reproducers() {
-        use datasync_bench::chaos::ChaosCase;
+        use datasync_bench::chaos::generate;
         let dir = std::env::temp_dir().join("datasync_cli_chaos_dir_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("a.json"), ChaosCase::generate(7, 4).to_json()).unwrap();
-        std::fs::write(dir.join("b.json"), ChaosCase::generate(9, 4).to_json()).unwrap();
+        std::fs::write(dir.join("a.json"), generate(7, 4).to_json()).unwrap();
+        std::fs::write(dir.join("b.json"), generate(9, 4).to_json()).unwrap();
         std::fs::write(dir.join("notes.txt"), "not a reproducer").unwrap();
         let out = run_full(&["chaos", "--replay", dir.to_str().unwrap()]).unwrap();
         assert_eq!(out.code, 0, "{}", out.text);
@@ -714,6 +738,17 @@ mod tests {
             .unwrap_err();
         assert_eq!(e.code, ExitCode::ServeFailure.code());
         assert!(e.message.contains("cannot bind"), "{}", e.message);
+    }
+
+    #[test]
+    fn committed_reproducer_fixtures_replay() {
+        // Pre-cache, pre-cluster, current flat, current clustered and a
+        // serve-written quarantine reproducer: every layout still on
+        // disk must keep replaying.
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/reproducers");
+        let out = run_full(&["chaos", "--replay", dir]).unwrap();
+        assert_eq!(out.code, 0, "{}", out.text);
+        assert!(out.text.contains("5 of 5 reproducers hold"), "{}", out.text);
     }
 
     #[test]

@@ -19,12 +19,15 @@
 //! synchronization actually enforced the dependences.
 //!
 //! [`compare`] runs one workload under all schemes and produces the
-//! report rows the benchmark harnesses print.
+//! report rows the benchmark harnesses print; [`cell::RunCell`] names
+//! one Fig 2.1 run by its scheme key and machine knobs, with the
+//! reproducer codec the chaos fuzzer and the sweep service share.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod barrier_phased;
+pub mod cell;
 pub mod compare;
 pub mod instance_based;
 pub mod process_oriented;
@@ -34,6 +37,7 @@ pub mod scheme;
 pub mod statement_oriented;
 
 pub use barrier_phased::BarrierPhased;
+pub use cell::{RunCell, SCHEME_KEYS};
 pub use compare::{compare_all, SchemeReport};
 pub use instance_based::InstanceBased;
 pub use process_oriented::ProcessOriented;

@@ -491,10 +491,8 @@ impl Matrix {
     /// intensity)` (or `FaultPlan::chaos` for the `chaos` row) on a
     /// machine with the documented processor count and recovery policy.
     pub fn to_json(&self) -> String {
+        use datasync_sim::json::escape;
         use std::fmt::Write as _;
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         let mut out = String::from("{\n  \"schema_version\": 2,\n");
         let _ = write!(
             out,
@@ -503,7 +501,7 @@ impl Matrix {
             self.seed,
             self.iterations,
             self.processors,
-            esc(&self.recovery)
+            escape(&self.recovery)
         );
         out.push_str("  \"intensities\": [");
         for (i, pct) in self.intensities.iter().enumerate() {
@@ -518,16 +516,16 @@ impl Matrix {
                 out,
                 "    {{\"scheme\": \"{}\", \"fabric\": \"{}\", \"fault\": \"{}\", \
                  \"seed\": {}, \"cells\": [",
-                esc(&row.scheme),
-                esc(&row.fabric),
-                esc(&row.fault),
+                escape(&row.scheme),
+                escape(&row.fabric),
+                escape(&row.fault),
                 self.seed
             );
             for (j, o) in row.outcomes.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                let _ = write!(out, "\"{}\"", esc(&o.cell()));
+                let _ = write!(out, "\"{}\"", escape(&o.cell()));
             }
             out.push(']');
             out.push('}');
@@ -857,40 +855,29 @@ mod tests {
         assert_eq!(json.matches("\"seed\": 1").count(), m.rows.len() + 1);
     }
 
-    /// Pulls `"key": value` (unquoted) out of a flat JSON document.
-    fn json_u64(json: &str, key: &str) -> u64 {
-        let pat = format!("\"{key}\": ");
-        let at = json.find(&pat).unwrap_or_else(|| panic!("{key} missing")) + pat.len();
-        json[at..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect::<String>()
-            .parse()
-            .unwrap()
-    }
-
     #[test]
     fn matrix_json_round_trips_byte_exact() {
         // Satellite contract: the JSON alone carries enough to replay the
-        // whole sweep — re-running from nothing but fields extracted out
-        // of the document reproduces the document bit for bit.
+        // whole sweep — re-running from nothing but fields read out of
+        // the document reproduces the document bit for bit.
+        use datasync_sim::json::{self, Json};
         let cfg = MachineConfig { recovery: RecoveryPolicy::Full, ..base() };
         let m = sweep(8, &cfg, &[0, 75], 42);
-        let json = m.to_json();
-        let seed = json_u64(&json, "seed");
-        let iterations = json_u64(&json, "iterations") as i64;
-        let processors = json_u64(&json, "processors") as usize;
-        let rec_at = json.find("\"recovery\": \"").unwrap() + "\"recovery\": \"".len();
-        let recovery = &json[rec_at..rec_at + json[rec_at..].find('"').unwrap()];
-        let ints_at = json.find("\"intensities\": [").unwrap() + "\"intensities\": [".len();
-        let intensities: Vec<u8> = json[ints_at..ints_at + json[ints_at..].find(']').unwrap()]
-            .split(", ")
-            .map(|s| s.parse().unwrap())
+        let text = m.to_json();
+        let doc = json::parse(&text).expect("the matrix is integer-only JSON");
+        let int = |key: &str| json::int::<u64>(&doc, key).unwrap().expect(key);
+        let recovery = doc.get("recovery").and_then(Json::as_str).expect("recovery");
+        let intensities: Vec<u8> = doc
+            .get("intensities")
+            .and_then(Json::as_arr)
+            .expect("intensities")
+            .iter()
+            .map(|v| json::int_value("intensities", v).unwrap())
             .collect();
-        let mut replay_base = MachineConfig::with_processors(processors);
+        let mut replay_base = MachineConfig::with_processors(int("processors") as usize);
         replay_base.recovery = RecoveryPolicy::parse(recovery).expect("recovery label");
-        let replayed = sweep(iterations, &replay_base, &intensities, seed);
-        assert_eq!(replayed.to_json(), json, "replay from JSON fields must be byte-exact");
+        let replayed = sweep(int("iterations") as i64, &replay_base, &intensities, int("seed"));
+        assert_eq!(replayed.to_json(), text, "replay from JSON fields must be byte-exact");
     }
 
     #[test]

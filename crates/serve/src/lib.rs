@@ -32,7 +32,6 @@
 pub mod hash;
 pub mod http;
 pub mod journal;
-pub mod json;
 pub mod queue;
 pub mod record;
 pub mod runner;
@@ -41,6 +40,9 @@ pub mod signal;
 pub mod spec;
 pub mod store;
 
+/// The workspace JSON codec, re-exported where the service's clients
+/// have always found it.
+pub use datasync_sim::json;
 pub use record::{CellRecord, RECORD_SCHEMA_VERSION};
 pub use runner::{run_cell, CellRun};
 pub use server::{ServeConfig, ServeSummary, Server, ServerHandle, SERVE_SCHEMA_VERSION};

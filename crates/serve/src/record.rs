@@ -8,7 +8,7 @@
 //! cached replay must reproduce them bit for bit. Latency and cache-hit
 //! telemetry live in the server's counters instead.
 
-use crate::json::{self, Json};
+use crate::json::{self, Json, Layout, ObjectWriter};
 use crate::spec::CellSpec;
 
 /// Version stamp of the record wire format. Bump on breaking changes;
@@ -48,18 +48,19 @@ impl CellRecord {
     /// Serializes the record as a single JSON line (the journal payload
     /// and the streamed result body, byte for byte).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"schema_version\":{},\"hash\":\"{}\",\"status\":\"{}\",\"makespan\":{},\
-             \"attempts\":{},\"budget\":{},\"detail\":\"{}\",\"spec\":{}}}",
-            RECORD_SCHEMA_VERSION,
-            self.hash,
-            json::escape(&self.status),
-            self.makespan,
-            self.attempts,
-            self.budget,
-            json::escape(&self.detail),
-            self.spec.canonical_json()
-        )
+        let spec = self.spec.canonical_json();
+        let mut out = String::with_capacity(spec.len() + 160);
+        let mut w = ObjectWriter::new(&mut out, Layout::Compact);
+        w.num("schema_version", RECORD_SCHEMA_VERSION)
+            .str("hash", &self.hash)
+            .str("status", &self.status)
+            .num("makespan", self.makespan)
+            .num("attempts", self.attempts)
+            .num("budget", self.budget)
+            .str("detail", &self.detail)
+            .raw("spec", &spec);
+        w.end();
+        out
     }
 
     /// Parses a record document. `schema_version` must be present and
@@ -91,14 +92,13 @@ impl CellRecord {
         let text = |key: &str, default: &str| {
             doc.get(key).and_then(Json::as_str).unwrap_or(default).to_string()
         };
-        let num = |key: &str, default: u64| doc.get(key).and_then(Json::as_u64).unwrap_or(default);
         Ok(CellRecord {
             spec,
             hash,
             status: text("status", "ok"),
-            makespan: num("makespan", 0),
-            attempts: num("attempts", 1) as u32,
-            budget: num("budget", 0),
+            makespan: json::int(doc, "makespan")?.unwrap_or(0),
+            attempts: json::int(doc, "attempts")?.unwrap_or(1),
+            budget: json::int(doc, "budget")?.unwrap_or(0),
             detail: text("detail", ""),
         })
     }

@@ -12,15 +12,9 @@
 //! poisons it immediately — determinism means retrying a wrong answer
 //! can only waste the budget reproducing it.
 
-use datasync_loopir::analysis::analyze;
-use datasync_loopir::space::IterSpace;
-use datasync_loopir::workpatterns::fig21_loop;
-use datasync_schemes::scheme::{CompiledLoop, Scheme};
-use datasync_schemes::{
-    classify_run, BarrierPhased, InstanceBased, Outcome, ProcessOriented, ReferenceBased,
-    StatementOriented,
-};
-use datasync_sim::{CacheModel, MachineConfig, RecoveryPolicy};
+use datasync_schemes::scheme::CompiledLoop;
+use datasync_schemes::{classify_run, Outcome, RunCell};
+use datasync_sim::MachineConfig;
 
 use crate::record::CellRecord;
 use crate::spec::CellSpec;
@@ -37,43 +31,10 @@ const MAX_ATTEMPTS: u32 = 2;
 pub struct CellRun {
     /// The record to journal, cache and stream.
     pub record: CellRecord,
-    /// `Some` exactly when the record is poisoned: a flat JSON document
-    /// in the `datasync chaos --replay` format.
+    /// `Some` exactly when the record is poisoned: the cell's
+    /// [`RunCell::to_json`] reproducer, replayable with
+    /// `datasync chaos --replay`.
     pub reproducer: Option<String>,
-}
-
-/// Compiles a cell's loop under its scheme and builds its machine
-/// config (budget not yet applied).
-///
-/// # Errors
-///
-/// Reports an unknown or ill-formed scheme key (normally impossible —
-/// specs are validated at admission).
-fn compile(spec: &CellSpec) -> Result<(CompiledLoop, MachineConfig), String> {
-    let nest = fig21_loop(spec.iterations);
-    let graph = analyze(&nest);
-    let space = IterSpace::of(&nest);
-    let x = spec.processors.max(2);
-    let scheme: Box<dyn Scheme> = match spec.scheme.as_str() {
-        "reference" => Box::new(ReferenceBased::new()),
-        "instance" => Box::new(InstanceBased::new()),
-        "statement" => Box::new(StatementOriented::new()),
-        "process" => Box::new(ProcessOriented::new(x)),
-        "barrier" if spec.processors.is_power_of_two() => {
-            Box::new(BarrierPhased::new(spec.processors))
-        }
-        other => return Err(format!("unknown or ill-formed scheme key `{other}`")),
-    };
-    let compiled = scheme.compile(&nest, &graph, &space);
-    let config = MachineConfig {
-        sync_transport: scheme.natural_transport(),
-        sync_fabric: spec.fabric,
-        recovery: RecoveryPolicy::Full,
-        cache: spec.cache,
-        faults: spec.fault_plan(),
-        ..MachineConfig::with_processors(spec.processors)
-    };
-    Ok((compiled, config))
 }
 
 /// The cell's first-attempt cycle budget: the explicit deadline
@@ -108,7 +69,7 @@ pub fn backoff_ms(cell_hash_fnv: u64, attempt: u32) -> u64 {
 /// Runs one cell to a terminal record.
 pub fn run_cell(spec: &CellSpec) -> CellRun {
     let hash = spec.content_hash();
-    let (compiled, mut config) = match compile(spec) {
+    let (compiled, mut config) = match RunCell::from(spec).compile() {
         Ok(pair) => pair,
         Err(why) => {
             // Admission validation makes this unreachable in the server;
@@ -176,58 +137,8 @@ fn poisoned(
             budget,
             detail: detail.to_string(),
         },
-        reproducer: Some(chaos_reproducer(spec)),
+        reproducer: Some(RunCell::from(spec).to_json()),
     }
-}
-
-/// Renders the cell as a flat chaos-fuzzer reproducer document — the
-/// exact `ChaosCase::to_json` layout, so `datasync chaos --replay` (and
-/// its new directory batch mode) re-runs a quarantined cell with full
-/// mode-bit-identity and invariant checking. Hand-written here rather
-/// than through `bench::chaos` to keep the dependency arrow pointing
-/// bench → serve (the load generator lives in bench).
-pub fn chaos_reproducer(spec: &CellSpec) -> String {
-    use std::fmt::Write as _;
-    let plan = spec.fault_plan();
-    let mut out = String::from("{\n");
-    let _ = write!(
-        out,
-        "  \"chaos_case\": 1,\n  \"scheme\": \"{}\",\n  \"fabric\": \"{}\",\n  \
-         \"iterations\": {},\n  \"processors\": {},\n  \"seed\": {},\n",
-        spec.scheme, spec.fabric, spec.iterations, spec.processors, plan.seed
-    );
-    let (cache_word, sets, assoc, line, sync_bit) = match spec.cache {
-        CacheModel::None => ("none".to_string(), 0, 0, 0, 0),
-        CacheModel::Private { protocol, sets, assoc, line_words, cache_sync, .. } => {
-            (protocol.to_string(), sets, assoc, line_words, u32::from(cache_sync))
-        }
-    };
-    let _ = writeln!(out, "  \"cache\": \"{cache_word}\",");
-    for (key, val) in [
-        ("cache_sets", sets),
-        ("cache_assoc", assoc),
-        ("cache_line", line),
-        ("cache_sync", sync_bit),
-        ("broadcast_delay_pct", plan.broadcast_delay_pct),
-        ("broadcast_delay_max", plan.broadcast_delay_max),
-        ("broadcast_reorder_pct", plan.broadcast_reorder_pct),
-        ("broadcast_drop_pct", plan.broadcast_drop_pct),
-        ("max_redeliveries", plan.max_redeliveries),
-        ("stale_image_pct", plan.stale_image_pct),
-        ("stale_window_max", plan.stale_window_max),
-        ("stall_mean_interval", plan.stall_mean_interval),
-        ("stall_max", plan.stall_max),
-        ("data_jitter_pct", plan.data_jitter_pct),
-        ("data_jitter_max", plan.data_jitter_max),
-        ("broadcast_loss_pct", plan.broadcast_loss_pct),
-        ("fail_stop_procs", plan.fail_stop_procs),
-        ("fail_stop_window", plan.fail_stop_window),
-    ] {
-        let _ = writeln!(out, "  \"{key}\": {val},");
-    }
-    out.truncate(out.trim_end_matches(",\n").len());
-    out.push_str("\n}\n");
-    out
 }
 
 #[cfg(test)]
@@ -296,7 +207,7 @@ mod tests {
     #[test]
     fn reproducers_cover_every_fault_field() {
         let spec = CellSpec { fault_pct: 60, seed: 99, ..CellSpec::default() };
-        let doc = chaos_reproducer(&spec);
+        let doc = RunCell::from(&spec).to_json();
         for key in [
             "chaos_case",
             "scheme",

@@ -16,13 +16,9 @@
 //! check both rely on.
 
 use crate::hash::fnv1a_hex;
-use crate::json::{self, Json};
-use datasync_sim::{CacheModel, CoherenceProtocol, FabricKind, FaultPlan};
-
-/// Stable scheme keys accepted by the service (the same vocabulary the
-/// chaos fuzzer replays by; `Scheme::name` strings carry parameters and
-/// are not stable identifiers).
-pub const SCHEME_KEYS: [&str; 5] = ["reference", "instance", "statement", "process", "barrier"];
+use crate::json::{self, Json, Layout, ObjectWriter};
+use datasync_schemes::{RunCell, SCHEME_KEYS};
+use datasync_sim::{CacheModel, FabricKind, FaultPlan};
 
 /// Version stamp written into every canonical cell document.
 pub const CELL_SPEC_VERSION: u64 = 1;
@@ -64,9 +60,10 @@ impl Default for CellSpec {
     }
 }
 
-/// Default cache geometry when a sweep names a protocol without one
-/// (sets × assoc × line words).
-const DEFAULT_GEOMETRY: (u32, u32, u32) = (16, 2, 4);
+/// Default cache fields when a cell or sweep names a protocol without
+/// them: 16 sets × 2 ways × 4-word lines, sync variables cacheable (see
+/// [`CacheModel::FIELDS`]).
+const DEFAULT_CACHE_FIELDS: [u32; 4] = [16, 2, 4, 1];
 
 impl CellSpec {
     /// The canonical single-line JSON form: fixed field order, every
@@ -78,39 +75,23 @@ impl CellSpec {
     /// from older deployments stays valid. [`CellSpec::content_hash`]
     /// is defined over these bytes.
     pub fn canonical_json(&self) -> String {
-        let (cache_word, sets, assoc, line, sync_bit) = match self.cache {
-            CacheModel::None => ("none".to_string(), 0, 0, 0, 0),
-            CacheModel::Private { protocol, sets, assoc, line_words, cache_sync, .. } => {
-                (protocol.to_string(), sets, assoc, line_words, u32::from(cache_sync))
-            }
-        };
-        let geometry = match self.fabric {
-            FabricKind::Clustered { clusters, bridge_latency, coalesce_window } => format!(
-                "\"clusters\":{clusters},\"bridge_latency\":{bridge_latency},\
-                 \"coalesce_window\":{coalesce_window},"
-            ),
-            _ => String::new(),
-        };
-        format!(
-            "{{\"cell_spec\":{},\"scheme\":\"{}\",\"fabric\":\"{}\",{}\"iterations\":{},\
-             \"processors\":{},\"cache\":\"{}\",\"cache_sets\":{},\"cache_assoc\":{},\
-             \"cache_line\":{},\"cache_sync\":{},\"fault_pct\":{},\"seed\":{},\
-             \"deadline_cycles\":{}}}",
-            CELL_SPEC_VERSION,
-            json::escape(&self.scheme),
-            self.fabric,
-            geometry,
-            self.iterations,
-            self.processors,
-            cache_word,
-            sets,
-            assoc,
-            line,
-            sync_bit,
-            self.fault_pct,
-            self.seed,
-            self.deadline_cycles
-        )
+        let mut out = String::with_capacity(320);
+        let mut w = ObjectWriter::new(&mut out, Layout::Compact);
+        w.num("cell_spec", CELL_SPEC_VERSION)
+            .str("scheme", &self.scheme)
+            .str("fabric", self.fabric.name());
+        if self.fabric.is_clustered() {
+            w.nums(&FabricKind::GEOMETRY_FIELDS, self.fabric.geometry());
+        }
+        w.num("iterations", self.iterations)
+            .num("processors", self.processors)
+            .str("cache", self.cache.word())
+            .nums(&CacheModel::FIELDS, self.cache.fields())
+            .num("fault_pct", self.fault_pct)
+            .num("seed", self.seed)
+            .num("deadline_cycles", self.deadline_cycles);
+        w.end();
+        out
     }
 
     /// The cell's content address: FNV-1a-64 of the canonical JSON,
@@ -123,27 +104,20 @@ impl CellSpec {
     /// omitted fields take their defaults (so a request that spells out
     /// a default hashes identically to one that omits it), unknown keys
     /// are rejected — a typoed `"procesors"` must not silently run the
-    /// default machine.
+    /// default machine — and integers must fit their field.
     ///
     /// # Errors
     ///
-    /// Reports the first unknown key, ill-typed field, or
-    /// [`CellSpec::validate`] failure.
+    /// Reports the first unknown key, ill-typed or out-of-range field,
+    /// or [`CellSpec::validate`] failure.
     pub fn from_json(doc: &Json) -> Result<Self, String> {
-        const KNOWN: [&str; 16] = [
+        const OWN: [&str; 9] = [
             "cell_spec",
             "scheme",
             "fabric",
-            "clusters",
-            "bridge_latency",
-            "coalesce_window",
             "iterations",
             "processors",
             "cache",
-            "cache_sets",
-            "cache_assoc",
-            "cache_line",
-            "cache_sync",
             "fault_pct",
             "seed",
             "deadline_cycles",
@@ -151,13 +125,16 @@ impl CellSpec {
         if !matches!(doc, Json::Obj(_)) {
             return Err("cell spec must be a JSON object".into());
         }
-        if let Some(unknown) = doc.keys().iter().find(|k| !KNOWN.contains(k)) {
+        let known = |k: &&str| {
+            OWN.contains(k)
+                || FabricKind::GEOMETRY_FIELDS.contains(k)
+                || CacheModel::FIELDS.contains(k)
+        };
+        if let Some(unknown) = doc.keys().iter().find(|k| !known(k)) {
             return Err(format!("unknown cell-spec field `{unknown}`"));
         }
-        if let Some(v) = doc.get("cell_spec") {
-            if v.as_u64() != Some(CELL_SPEC_VERSION) {
-                return Err("unsupported cell_spec version".into());
-            }
+        if json::int::<u64>(doc, "cell_spec")?.is_some_and(|v| v != CELL_SPEC_VERSION) {
+            return Err("unsupported cell_spec version".into());
         }
         let d = CellSpec::default();
         let str_field = |key: &str, default: &str| -> Result<String, String> {
@@ -168,50 +145,16 @@ impl CellSpec {
                 }
             }
         };
-        let num_field = |key: &str, default: u64| -> Result<u64, String> {
-            match doc.get(key) {
-                None => Ok(default),
-                Some(v) => v.as_u64().ok_or(format!("`{key}` must be a non-negative integer")),
-            }
-        };
-        let fabric_name = str_field("fabric", "dedicated")?;
-        let mut fabric = FabricKind::parse(&fabric_name)
-            .ok_or_else(|| format!("unknown fabric `{fabric_name}`"))?;
-        match &mut fabric {
-            FabricKind::Clustered { clusters, bridge_latency, coalesce_window } => {
-                *clusters = num_field("clusters", u64::from(*clusters))? as u32;
-                *bridge_latency = num_field("bridge_latency", u64::from(*bridge_latency))? as u32;
-                *coalesce_window =
-                    num_field("coalesce_window", u64::from(*coalesce_window))? as u32;
-            }
-            _ => {
-                // Cluster geometry on a flat fabric is moot: type-check
-                // it, then normalize it away — the same rule cacheless
-                // cells apply to cache geometry.
-                num_field("clusters", 0)?;
-                num_field("bridge_latency", 0)?;
-                num_field("coalesce_window", 0)?;
-            }
-        }
-        let cache_word = str_field("cache", "none")?;
-        let cache = parse_cache_word(
-            &cache_word,
-            num_field("cache_sets", u64::from(DEFAULT_GEOMETRY.0))? as u32,
-            num_field("cache_assoc", u64::from(DEFAULT_GEOMETRY.1))? as u32,
-            num_field("cache_line", u64::from(DEFAULT_GEOMETRY.2))? as u32,
-            num_field("cache_sync", 1)? != 0,
-        )?;
+        let field = |name: &'static str| json::int(doc, name);
         let spec = CellSpec {
             scheme: str_field("scheme", &d.scheme)?,
-            fabric,
-            iterations: doc.get("iterations").map_or(Ok(d.iterations), |v| {
-                v.as_i64().ok_or("`iterations` must be an integer")
-            })?,
-            processors: num_field("processors", d.processors as u64)? as usize,
-            cache,
-            fault_pct: num_field("fault_pct", u64::from(d.fault_pct))? as u32,
-            seed: num_field("seed", d.seed)?,
-            deadline_cycles: num_field("deadline_cycles", d.deadline_cycles)?,
+            fabric: FabricKind::decode(&str_field("fabric", "dedicated")?, field)?,
+            iterations: json::int(doc, "iterations")?.unwrap_or(d.iterations),
+            processors: json::int(doc, "processors")?.unwrap_or(d.processors),
+            cache: CacheModel::decode(&str_field("cache", "none")?, DEFAULT_CACHE_FIELDS, field)?,
+            fault_pct: json::int(doc, "fault_pct")?.unwrap_or(d.fault_pct),
+            seed: json::int(doc, "seed")?.unwrap_or(d.seed),
+            deadline_cycles: json::int(doc, "deadline_cycles")?.unwrap_or(d.deadline_cycles),
         };
         spec.validate()?;
         Ok(spec)
@@ -234,7 +177,7 @@ impl CellSpec {
     pub fn validate(&self) -> Result<(), String> {
         check_scheme(&self.scheme)?;
         check_barrier_machine(&self.scheme, self.processors)?;
-        check_fabric_geometry(&self.fabric, self.processors)?;
+        self.fabric.check_geometry(self.processors)?;
         check_iterations(self.iterations)?;
         check_processors(self.processors)?;
         check_fault_pct(self.fault_pct)
@@ -249,6 +192,20 @@ impl CellSpec {
             FaultPlan::chaos(self.seed, self.fault_pct)
         } else {
             FaultPlan { seed: self.seed, ..FaultPlan::none() }
+        }
+    }
+}
+
+/// A cell as a machine run: its chaos reproducer and its compiled form.
+impl From<&CellSpec> for RunCell {
+    fn from(spec: &CellSpec) -> Self {
+        RunCell {
+            scheme: spec.scheme.clone(),
+            fabric: spec.fabric,
+            iterations: spec.iterations,
+            processors: spec.processors,
+            cache: spec.cache,
+            plan: spec.fault_plan(),
         }
     }
 }
@@ -269,26 +226,6 @@ fn check_barrier_machine(scheme: &str, processors: usize) -> Result<(), String> 
         return Err(format!(
             "barrier scheme needs a power-of-two machine, got {processors} processors"
         ));
-    }
-    Ok(())
-}
-
-/// Mirrors `MachineConfig::validate`'s clustered-fabric rules so a bad
-/// geometry is rejected at admission, not deep inside a worker.
-fn check_fabric_geometry(fabric: &FabricKind, processors: usize) -> Result<(), String> {
-    if let FabricKind::Clustered { clusters, bridge_latency, .. } = fabric {
-        if *clusters == 0 {
-            return Err("clustered fabric needs at least one cluster".into());
-        }
-        if *bridge_latency == 0 {
-            return Err("bridge_latency must be at least 1 cycle".into());
-        }
-        let c = *clusters as usize;
-        if c > processors || !processors.is_multiple_of(c) {
-            return Err(format!(
-                "clusters ({clusters}) must divide the processor count ({processors})"
-            ));
-        }
     }
     Ok(())
 }
@@ -316,23 +253,9 @@ fn check_fault_pct(fault_pct: u32) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds a [`CacheModel`] from the wire vocabulary (`none` or a
-/// protocol name plus geometry).
-fn parse_cache_word(
-    word: &str,
-    sets: u32,
-    assoc: u32,
-    line: u32,
-    cache_sync: bool,
-) -> Result<CacheModel, String> {
-    if word == "none" {
-        return Ok(CacheModel::None);
-    }
-    let protocol =
-        CoherenceProtocol::parse(word).ok_or_else(|| format!("unknown cache `{word}`"))?;
-    let model = CacheModel::private(protocol).geometry(sets, assoc, line);
-    Ok(if cache_sync { model } else { model.sync_uncached() })
-}
+/// The sweep's cluster-geometry axes, one per
+/// [`FabricKind::GEOMETRY_FIELDS`] entry, in the same order.
+const GEOMETRY_AXES: [&str; 3] = ["clusters", "bridge_latencies", "coalesce_windows"];
 
 /// A sweep request: lists per axis, expanded as a full cross product.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -384,9 +307,9 @@ impl SweepSpec {
         const KNOWN: [&str; 11] = [
             "schemes",
             "fabrics",
-            "clusters",
-            "bridge_latencies",
-            "coalesce_windows",
+            GEOMETRY_AXES[0],
+            GEOMETRY_AXES[1],
+            GEOMETRY_AXES[2],
             "iterations",
             "processors",
             "caches",
@@ -420,14 +343,13 @@ impl SweepSpec {
         let d = SweepSpec::default();
         let mut fabrics = axis(doc, "fabrics", d.fabrics, |v| {
             let name = v.as_str().ok_or("fabrics entries must be strings")?;
-            FabricKind::parse(name).ok_or_else(|| format!("unknown fabric `{name}`"))
+            FabricKind::decode(name, |_| Ok(None))
         })?;
         // The cluster-geometry axes ride in lockstep with `fabrics`:
         // entry i overrides fabric i's geometry. They are not a cross
         // product — a geometry only means anything next to the
         // clustered fabric it modifies (a flat entry must carry 0).
-        for (key, write) in [("clusters", 0usize), ("bridge_latencies", 1), ("coalesce_windows", 2)]
-        {
+        for (slot, key) in GEOMETRY_AXES.iter().enumerate() {
             let Some(v) = doc.get(key) else { continue };
             let items = v.as_arr().ok_or(format!("`{key}` must be an array"))?;
             if items.len() != fabrics.len() {
@@ -438,20 +360,17 @@ impl SweepSpec {
                 ));
             }
             for (fabric, item) in fabrics.iter_mut().zip(items) {
-                let n = item
-                    .as_u64()
-                    .ok_or(format!("`{key}` entries must be non-negative integers"))?;
-                match fabric {
-                    FabricKind::Clustered { clusters, bridge_latency, coalesce_window } => {
-                        *[clusters, bridge_latency, coalesce_window][write] = n as u32;
-                    }
-                    flat if n != 0 => {
+                let n: u32 = json::int_value(key, item)?;
+                let name = fabric.name();
+                match fabric.geometry_mut() {
+                    Some(geometry) => *geometry[slot] = n,
+                    None if n != 0 => {
                         return Err(format!(
-                            "`{key}` entry {n} is paired with the flat `{flat}` fabric \
+                            "`{key}` entry {n} is paired with the flat `{name}` fabric \
                              (only `clustered` entries take a geometry; use 0 here)"
                         ));
                     }
-                    _ => {}
+                    None => {}
                 }
             }
         }
@@ -461,29 +380,22 @@ impl SweepSpec {
             })?,
             fabrics,
             iterations: axis(doc, "iterations", d.iterations, |v| {
-                v.as_i64().ok_or("iterations entries must be integers".into())
+                json::int_value("iterations", v)
             })?,
             processors: axis(doc, "processors", d.processors, |v| {
-                v.as_u64()
-                    .map(|n| n as usize)
-                    .ok_or("processors entries must be integers".into())
+                json::int_value("processors", v)
             })?,
             caches: axis(doc, "caches", d.caches, |v| {
                 let word = v.as_str().ok_or("caches entries must be strings")?;
                 // Validate the vocabulary up front; geometry is defaulted.
-                parse_cache_word(word, 1, 1, 1, true).map(|_| word.to_string())
+                CacheModel::decode(word, DEFAULT_CACHE_FIELDS, |_| Ok(None))?;
+                Ok(word.to_string())
             })?,
             fault_pcts: axis(doc, "fault_pcts", d.fault_pcts, |v| {
-                v.as_u64().map(|n| n as u32).ok_or("fault_pcts entries must be integers".into())
+                json::int_value("fault_pcts", v)
             })?,
-            seed: match doc.get("seed") {
-                None => d.seed,
-                Some(v) => v.as_u64().ok_or("`seed` must be a non-negative integer")?,
-            },
-            deadline_cycles: match doc.get("deadline_cycles") {
-                None => d.deadline_cycles,
-                Some(v) => v.as_u64().ok_or("`deadline_cycles` must be a non-negative integer")?,
-            },
+            seed: json::int(doc, "seed")?.unwrap_or(d.seed),
+            deadline_cycles: json::int(doc, "deadline_cycles")?.unwrap_or(d.deadline_cycles),
         };
         // Validate every cell the grid implies — element-wise, never by
         // expanding: a small request body can cross-multiply into
@@ -518,7 +430,7 @@ impl SweepSpec {
         // every clustered fabric entry must divide every machine size.
         for fabric in &self.fabrics {
             for &processors in &self.processors {
-                check_fabric_geometry(fabric, processors)?;
+                fabric.check_geometry(processors)?;
             }
         }
         for &iterations in &self.iterations {
@@ -555,15 +467,20 @@ impl SweepSpec {
     /// identically.
     pub fn expand(&self) -> Vec<CellSpec> {
         let mut cells = Vec::with_capacity(self.cell_count().min(1 << 20));
-        let (sets, assoc, line) = DEFAULT_GEOMETRY;
+        let caches: Vec<CacheModel> = self
+            .caches
+            .iter()
+            .map(|word| {
+                CacheModel::decode(word, DEFAULT_CACHE_FIELDS, |_| Ok(None))
+                    .unwrap_or(CacheModel::None)
+            })
+            .collect();
         for scheme in &self.schemes {
             for &fabric in &self.fabrics {
                 for &iterations in &self.iterations {
                     for &processors in &self.processors {
-                        for cache_word in &self.caches {
+                        for &cache in &caches {
                             for &fault_pct in &self.fault_pcts {
-                                let cache = parse_cache_word(cache_word, sets, assoc, line, true)
-                                    .unwrap_or(CacheModel::None);
                                 cells.push(CellSpec {
                                     scheme: scheme.clone(),
                                     fabric,
@@ -587,6 +504,7 @@ impl SweepSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use datasync_sim::CoherenceProtocol;
 
     #[test]
     fn canonical_json_parses_back_to_the_same_cell() {
@@ -834,6 +752,30 @@ mod tests {
         ] {
             let doc = json::parse(bad).unwrap();
             assert!(SweepSpec::from_json(&doc).is_err(), "{bad} should be rejected");
+        }
+    }
+
+    #[test]
+    fn out_of_range_integers_are_rejected_not_wrapped() {
+        // 4294967346 = 2^32 + 50 and 4294967298 = 2^32 + 2: an `as u32`
+        // narrowing would admit them as 50 and 2.
+        for bad in [
+            r#"{"fault_pcts": [4294967346]}"#,
+            r#"{"fabrics": ["clustered"], "clusters": [4294967298], "processors": [4]}"#,
+            r#"{"fabrics": ["clustered"], "bridge_latencies": [4294967297], "processors": [4]}"#,
+            r#"{"fabrics": ["clustered"], "coalesce_windows": [4294967296], "processors": [4]}"#,
+        ] {
+            let err = SweepSpec::from_json(&json::parse(bad).unwrap()).unwrap_err();
+            assert!(err.contains("out of range"), "{bad}: {err}");
+        }
+        for bad in [
+            r#"{"fault_pct": 4294967346}"#,
+            r#"{"fabric": "clustered", "clusters": 4294967298}"#,
+            r#"{"cache": "mesi", "cache_sets": 4294967312}"#,
+            r#"{"cache": "none", "cache_line": 4294967300}"#,
+        ] {
+            let err = CellSpec::parse(bad).unwrap_err();
+            assert!(err.contains("out of range"), "{bad}: {err}");
         }
     }
 

@@ -20,6 +20,7 @@
 //! repo is dependency-free by policy).
 
 use crate::events::{EventRing, SimEventKind};
+use crate::json::escape;
 use crate::timeline::spans;
 use crate::trace::Trace;
 use std::fmt::Write as _;
@@ -267,25 +268,6 @@ impl Writer {
         );
         self.out
     }
-}
-
-/// Escapes a string for a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

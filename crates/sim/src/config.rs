@@ -103,16 +103,101 @@ impl FabricKind {
     pub fn is_clustered(&self) -> bool {
         matches!(self, FabricKind::Clustered { .. })
     }
-}
 
-impl std::fmt::Display for FabricKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
+    /// The wire and CLI spelling ([`FabricKind::parse`]'s inverse).
+    pub fn name(&self) -> &'static str {
+        match self {
             FabricKind::Dedicated => "dedicated",
             FabricKind::Shared => "shared",
             FabricKind::Ideal => "ideal",
             FabricKind::Clustered { .. } => "clustered",
-        })
+        }
+    }
+
+    /// Wire names of the cluster geometry, in [`FabricKind::geometry`]
+    /// order (the CLI spells them with dashes).
+    pub const GEOMETRY_FIELDS: [&'static str; 3] =
+        ["clusters", "bridge_latency", "coalesce_window"];
+
+    /// `[clusters, bridge_latency, coalesce_window]`; zeros for a flat
+    /// fabric.
+    pub fn geometry(&self) -> [u32; 3] {
+        match *self {
+            FabricKind::Clustered { clusters, bridge_latency, coalesce_window } => {
+                [clusters, bridge_latency, coalesce_window]
+            }
+            _ => [0; 3],
+        }
+    }
+
+    /// The geometry slots, in [`FabricKind::geometry`] order; `None`
+    /// for a flat fabric.
+    pub fn geometry_mut(&mut self) -> Option<[&mut u32; 3]> {
+        match self {
+            FabricKind::Clustered { clusters, bridge_latency, coalesce_window } => {
+                Some([clusters, bridge_latency, coalesce_window])
+            }
+            _ => None,
+        }
+    }
+
+    /// Decodes a fabric from its spelling plus its geometry fields:
+    /// `field` is asked for every [`FabricKind::GEOMETRY_FIELDS`] name
+    /// (so a reader type-checks them on any fabric), and a present value
+    /// overrides the clustered default. On a flat fabric the geometry is
+    /// moot and ignored.
+    ///
+    /// # Errors
+    ///
+    /// Rejects an unknown spelling and passes on `field`'s errors.
+    pub fn decode(
+        word: &str,
+        mut field: impl FnMut(&'static str) -> Result<Option<u32>, String>,
+    ) -> Result<Self, String> {
+        let mut kind = FabricKind::parse(word).ok_or_else(|| format!("unknown fabric `{word}`"))?;
+        let mut values = kind.geometry();
+        for (value, name) in values.iter_mut().zip(Self::GEOMETRY_FIELDS) {
+            if let Some(v) = field(name)? {
+                *value = v;
+            }
+        }
+        if let Some(slots) = kind.geometry_mut() {
+            for (slot, value) in slots.into_iter().zip(values) {
+                *slot = value;
+            }
+        }
+        Ok(kind)
+    }
+
+    /// Checks a clustered geometry against the machine size: at least
+    /// one cluster, a bridge of at least one cycle, and a cluster count
+    /// that divides `processors`. Flat fabrics always pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violated rule.
+    pub fn check_geometry(&self, processors: usize) -> Result<(), String> {
+        if let FabricKind::Clustered { clusters, bridge_latency, .. } = *self {
+            if clusters == 0 {
+                return Err("clustered fabric needs at least one cluster".into());
+            }
+            if bridge_latency == 0 {
+                return Err("bridge_latency must be at least 1 cycle".into());
+            }
+            let c = clusters as usize;
+            if c > processors || !processors.is_multiple_of(c) {
+                return Err(format!(
+                    "clusters ({clusters}) must divide the processor count ({processors})"
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+impl std::fmt::Display for FabricKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -143,14 +228,20 @@ impl CoherenceProtocol {
             _ => None,
         }
     }
+
+    /// The wire and CLI spelling ([`CoherenceProtocol::parse`]'s
+    /// inverse).
+    pub fn name(self) -> &'static str {
+        match self {
+            CoherenceProtocol::Mesi => "mesi",
+            CoherenceProtocol::Dragon => "dragon",
+        }
+    }
 }
 
 impl std::fmt::Display for CoherenceProtocol {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            CoherenceProtocol::Mesi => "mesi",
-            CoherenceProtocol::Dragon => "dragon",
-        })
+        f.write_str(self.name())
     }
 }
 
@@ -213,6 +304,61 @@ impl CacheModel {
             *cache_sync = false;
         }
         self
+    }
+
+    /// Wire names of the model's fields after its [`CacheModel::word`],
+    /// in [`CacheModel::fields`] order (the CLI spells the first three
+    /// with dashes; `cache_sync` is its `--sync-uncached` switch).
+    pub const FIELDS: [&'static str; 4] = ["cache_sets", "cache_assoc", "cache_line", "cache_sync"];
+
+    /// The wire word: `none`, or the coherence protocol.
+    pub fn word(&self) -> &'static str {
+        match self {
+            CacheModel::None => "none",
+            CacheModel::Private { protocol, .. } => protocol.name(),
+        }
+    }
+
+    /// `[sets, assoc, line_words, sync bit]`; zeros for
+    /// [`CacheModel::None`].
+    pub fn fields(&self) -> [u32; 4] {
+        match *self {
+            CacheModel::None => [0; 4],
+            CacheModel::Private { sets, assoc, line_words, cache_sync, .. } => {
+                [sets, assoc, line_words, u32::from(cache_sync)]
+            }
+        }
+    }
+
+    /// Decodes a model from its [`CacheModel::word`] plus its fields:
+    /// `field` is asked for every [`CacheModel::FIELDS`] name (so a
+    /// reader type-checks them on any model), a present value overrides
+    /// its entry of `defaults`, and a private model is built from the
+    /// result (a zero sync bit keeps sync variables uncached). For
+    /// `none` the fields are moot and ignored.
+    ///
+    /// # Errors
+    ///
+    /// Rejects an unknown word and passes on `field`'s errors.
+    pub fn decode(
+        word: &str,
+        defaults: [u32; 4],
+        mut field: impl FnMut(&'static str) -> Result<Option<u32>, String>,
+    ) -> Result<Self, String> {
+        let mut values = defaults;
+        for (value, name) in values.iter_mut().zip(Self::FIELDS) {
+            if let Some(v) = field(name)? {
+                *value = v;
+            }
+        }
+        if word == "none" {
+            return Ok(CacheModel::None);
+        }
+        let protocol =
+            CoherenceProtocol::parse(word).ok_or_else(|| format!("unknown cache `{word}`"))?;
+        let [sets, assoc, line, sync_bit] = values;
+        let model = CacheModel::private(protocol).geometry(sets, assoc, line);
+        Ok(if sync_bit == 0 { model.sync_uncached() } else { model })
     }
 
     /// Returns the model with the given geometry (no-op for
@@ -380,22 +526,7 @@ impl MachineConfig {
         if self.faults.fail_stop_procs > 0 && self.faults.fail_stop_window == 0 {
             return Err("fail-stop enabled with a zero-cycle kill window".into());
         }
-        if let FabricKind::Clustered { clusters, bridge_latency, .. } = self.sync_fabric {
-            if clusters == 0 {
-                return Err("clustered fabric needs at least one cluster".into());
-            }
-            if bridge_latency == 0 {
-                return Err("bridge_latency must be at least 1 cycle".into());
-            }
-            let c = clusters as usize;
-            if c > self.processors || !self.processors.is_multiple_of(c) {
-                return Err(format!(
-                    "clusters ({clusters}) must divide the processor count ({})",
-                    self.processors
-                ));
-            }
-        }
-        Ok(())
+        self.sync_fabric.check_geometry(self.processors)
     }
 
     /// A cycle budget scaled to the machine and workload at hand, for

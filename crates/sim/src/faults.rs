@@ -166,6 +166,31 @@ pub struct FaultPlan {
     pub fail_stop_window: u32,
 }
 
+/// One fault-plan knob on the wire: its field name and its slot.
+pub type FaultKnob = (&'static str, fn(&mut FaultPlan) -> &mut u32);
+
+impl FaultPlan {
+    /// Every knob of the plan besides its seed, by wire name, in
+    /// reproducer order: the one table each reader and writer of a plan
+    /// goes through, so adding a knob touches this file alone.
+    pub const KNOBS: [FaultKnob; 14] = [
+        ("broadcast_delay_pct", |p| &mut p.broadcast_delay_pct),
+        ("broadcast_delay_max", |p| &mut p.broadcast_delay_max),
+        ("broadcast_reorder_pct", |p| &mut p.broadcast_reorder_pct),
+        ("broadcast_drop_pct", |p| &mut p.broadcast_drop_pct),
+        ("max_redeliveries", |p| &mut p.max_redeliveries),
+        ("stale_image_pct", |p| &mut p.stale_image_pct),
+        ("stale_window_max", |p| &mut p.stale_window_max),
+        ("stall_mean_interval", |p| &mut p.stall_mean_interval),
+        ("stall_max", |p| &mut p.stall_max),
+        ("data_jitter_pct", |p| &mut p.data_jitter_pct),
+        ("data_jitter_max", |p| &mut p.data_jitter_max),
+        ("broadcast_loss_pct", |p| &mut p.broadcast_loss_pct),
+        ("fail_stop_procs", |p| &mut p.fail_stop_procs),
+        ("fail_stop_window", |p| &mut p.fail_stop_window),
+    ];
+}
+
 impl Default for FaultPlan {
     fn default() -> Self {
         Self::none()
@@ -262,28 +287,24 @@ impl FaultPlan {
     /// chaos runs remain classifiable without recovery; permanent loss
     /// and fail-stop are swept as their own matrix rows.
     pub fn chaos(seed: u64, intensity: u32) -> Self {
-        let mut plan = Self::only(FaultClass::BroadcastDelay, seed, intensity);
-        for class in FaultClass::ALL[1..].iter().filter(|c| c.bounded()) {
-            let single = Self::only(*class, seed, intensity);
-            plan = Self {
-                seed,
-                broadcast_delay_pct: plan.broadcast_delay_pct,
-                broadcast_delay_max: plan.broadcast_delay_max,
-                broadcast_reorder_pct: plan.broadcast_reorder_pct.max(single.broadcast_reorder_pct),
-                broadcast_drop_pct: plan.broadcast_drop_pct.max(single.broadcast_drop_pct),
-                max_redeliveries: plan.max_redeliveries.max(single.max_redeliveries),
-                stale_image_pct: plan.stale_image_pct.max(single.stale_image_pct),
-                stale_window_max: plan.stale_window_max.max(single.stale_window_max),
-                stall_mean_interval: plan.stall_mean_interval.max(single.stall_mean_interval),
-                stall_max: plan.stall_max.max(single.stall_max),
-                data_jitter_pct: plan.data_jitter_pct.max(single.data_jitter_pct),
-                data_jitter_max: plan.data_jitter_max.max(single.data_jitter_max),
-                broadcast_loss_pct: 0,
-                fail_stop_procs: 0,
-                fail_stop_window: 0,
-            };
+        FaultClass::ALL
+            .iter()
+            .filter(|c| c.bounded())
+            .fold(Self { seed, ..Self::none() }, |plan, &class| {
+                plan.merge(Self::only(class, seed, intensity))
+            })
+    }
+
+    /// Composes two plans knob by knob, keeping the larger value of
+    /// each and this plan's seed.
+    #[must_use]
+    pub fn merge(mut self, mut other: Self) -> Self {
+        for (_, knob) in Self::KNOBS {
+            let theirs = *knob(&mut other);
+            let ours = knob(&mut self);
+            *ours = (*ours).max(theirs);
         }
-        plan
+        self
     }
 
     /// Returns the plan with a different seed (same intensities).

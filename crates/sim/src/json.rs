@@ -1,18 +1,26 @@
-//! A minimal JSON reader (hand-rolled like every serializer in this
-//! dependency-free workspace).
+//! The workspace's one JSON codec (hand-rolled like every serializer
+//! in this dependency-free workspace): a reader, a range-checked
+//! integer reader and an object emitter.
 //!
-//! The service's request bodies and journal lines are small documents of
-//! objects, arrays, strings, booleans and **integer** numbers, so that
-//! is exactly what this parser accepts. Integers are carried as `i128`
-//! so the full `u64` seed range survives parsing (an `f64`-backed number
-//! type would silently round seeds above 2^53 — the content hash would
-//! then collide configs that differ only in their high seed bits).
-//! Fractions and exponents are rejected: no field of the wire format is
-//! fractional, and refusing them keeps number round-trips exact.
+//! Every document the workspace reads or writes for a machine run goes
+//! through here: serve's request bodies, canonical cell specs, record
+//! and journal lines, and chaos reproducers. They are small documents
+//! of objects, arrays, strings, booleans and **integer** numbers, so
+//! that is exactly what the parser accepts. Integers are carried as
+//! `i128` so the full `u64` seed range survives parsing (an
+//! `f64`-backed number type would silently round seeds above 2^53 —
+//! the content hash would then collide configs that differ only in
+//! their high seed bits). Fractions and exponents are rejected: no
+//! field of the wire format is fractional, and refusing them keeps
+//! number round-trips exact. Narrowing a parsed integer to a field's
+//! type goes through [`checked`], which rejects an out-of-range value
+//! instead of wrapping it.
 
-/// A parsed JSON value. Object member order is preserved (the canonical
-/// serializer in [`crate::spec`] depends on *emitting* a fixed order,
-/// never on the order it reads).
+use std::fmt::{Display, Write as _};
+
+/// A parsed JSON value. Object member order is preserved (canonical
+/// writers depend on *emitting* a fixed order, never on the order they
+/// read).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Json {
     /// `null`.
@@ -40,20 +48,23 @@ impl Json {
         }
     }
 
-    /// The value as a `u64`, if it is an in-range number.
-    pub fn as_u64(&self) -> Option<u64> {
+    /// The value as an integer of type `T`, if it is a number in `T`'s
+    /// range (never wrapped).
+    pub fn as_int<T: TryFrom<i128>>(&self) -> Option<T> {
         match self {
-            Json::Num(n) => u64::try_from(*n).ok(),
+            Json::Num(n) => T::try_from(*n).ok(),
             _ => None,
         }
     }
 
+    /// The value as a `u64`, if it is an in-range number.
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_int()
+    }
+
     /// The value as an `i64`, if it is an in-range number.
     pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Num(n) => i64::try_from(*n).ok(),
-            _ => None,
-        }
+        self.as_int()
     }
 
     /// The value as a string slice.
@@ -321,9 +332,51 @@ impl Parser<'_> {
     }
 }
 
+/// Narrows integer `n`, the value of `what`, into `T`: the one
+/// range-checked integer reader. An out-of-range value is an error, not
+/// a wrapped or truncated number.
+///
+/// # Errors
+///
+/// Names `what` and the value when `n` does not fit `T`.
+pub fn checked<T: TryFrom<i128>>(what: &str, n: impl Into<i128>) -> Result<T, String> {
+    let n = n.into();
+    T::try_from(n).map_err(|_| {
+        format!("`{what}` is out of range: {n} does not fit {}", std::any::type_name::<T>())
+    })
+}
+
+/// Reads `value`, the value of `what`, as an integer of type `T`.
+///
+/// # Errors
+///
+/// Rejects non-numbers and numbers outside `T`'s range.
+pub fn int_value<T: TryFrom<i128>>(what: &str, value: &Json) -> Result<T, String> {
+    match value {
+        Json::Num(n) => checked(what, *n),
+        _ => Err(format!("`{what}` must be an integer")),
+    }
+}
+
+/// Reads member `key` of object `doc` as an integer of type `T`:
+/// `Ok(None)` when the member is absent.
+///
+/// # Errors
+///
+/// Rejects a present member that is not an integer in `T`'s range.
+pub fn int<T: TryFrom<i128>>(doc: &Json, key: &str) -> Result<Option<T>, String> {
+    doc.get(key).map(|v| int_value(key, v)).transpose()
+}
+
 /// Escapes a string for embedding in a JSON document.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out`, escaped for a JSON string literal.
+pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -331,11 +384,97 @@ pub fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
+}
+
+/// The two layouts the workspace writes objects in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// One line, no blanks: `{"a":1,"b":"x"}`. Canonical cell specs and
+    /// record lines, whose bytes are hashed and journaled.
+    Compact,
+    /// One member per line, two-space indent, trailing newline: chaos
+    /// reproducers, which people read and edit.
+    Flat,
+}
+
+/// Writes one JSON object, member by member, straight into a `String`.
+/// Keys are static identifiers and are written verbatim; string values
+/// are escaped.
+#[derive(Debug)]
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    layout: Layout,
+    empty: bool,
+}
+
+impl<'a> ObjectWriter<'a> {
+    /// Opens an object at the end of `out`.
+    pub fn new(out: &'a mut String, layout: Layout) -> Self {
+        out.push('{');
+        ObjectWriter { out, layout, empty: true }
+    }
+
+    fn key(&mut self, key: &str) {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        self.out.push_str(match self.layout {
+            Layout::Compact => "\"",
+            Layout::Flat => "\n  \"",
+        });
+        self.out.push_str(key);
+        self.out.push_str(match self.layout {
+            Layout::Compact => "\":",
+            Layout::Flat => "\": ",
+        });
+    }
+
+    /// Writes a member whose value renders as JSON through `Display`
+    /// (integers and booleans).
+    pub fn num(&mut self, key: &str, value: impl Display) -> &mut Self {
+        self.key(key);
+        let _ = write!(self.out, "{value}");
+        self
+    }
+
+    /// Writes one integer member per key, pairing `keys` with `values`.
+    pub fn nums(&mut self, keys: &[&str], values: impl IntoIterator<Item = u32>) -> &mut Self {
+        for (key, value) in keys.iter().zip(values) {
+            self.num(key, value);
+        }
+        self
+    }
+
+    /// Writes a string member, escaped.
+    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
+        self.key(key);
+        self.out.push('"');
+        escape_into(self.out, value);
+        self.out.push('"');
+        self
+    }
+
+    /// Writes a member whose value is an already-rendered JSON document.
+    pub fn raw(&mut self, key: &str, json: &str) -> &mut Self {
+        self.key(key);
+        self.out.push_str(json);
+        self
+    }
+
+    /// Closes the object.
+    pub fn end(self) {
+        self.out.push_str(match self.layout {
+            Layout::Compact => "}",
+            Layout::Flat => "\n}\n",
+        });
+    }
 }
 
 #[cfg(test)]
@@ -439,5 +578,40 @@ mod tests {
         assert_eq!(parse("{}").unwrap(), Json::Obj(vec![]));
         assert_eq!(parse("[]").unwrap(), Json::Arr(vec![]));
         assert_eq!(parse(" [ ] ").unwrap(), Json::Arr(vec![]));
+    }
+
+    #[test]
+    fn checked_reader_rejects_instead_of_wrapping() {
+        let v = parse(r#"{"a": 4294967346, "b": 7, "c": -1, "d": "x"}"#).unwrap();
+        let e = int::<u32>(&v, "a").unwrap_err();
+        assert!(e.contains("`a`") && e.contains("out of range"), "{e}");
+        assert_eq!(int::<u32>(&v, "b"), Ok(Some(7)));
+        assert!(int::<u64>(&v, "c").is_err());
+        assert_eq!(int::<i64>(&v, "c"), Ok(Some(-1)));
+        assert!(int::<u32>(&v, "d").unwrap_err().contains("must be an integer"));
+        assert_eq!(int::<u32>(&v, "missing"), Ok(None));
+        assert_eq!(checked::<u32>("x", u64::from(u32::MAX)), Ok(u32::MAX));
+        assert!(checked::<u32>("x", u64::from(u32::MAX) + 1).is_err());
+    }
+
+    #[test]
+    fn writer_emits_both_layouts() {
+        let write = |layout| {
+            let mut out = String::new();
+            let mut w = ObjectWriter::new(&mut out, layout);
+            w.num("n", 1).str("s", "a\"b").nums(&["x", "y"], [2, 3]).raw("o", "{}");
+            w.end();
+            out
+        };
+        assert_eq!(write(Layout::Compact), r#"{"n":1,"s":"a\"b","x":2,"y":3,"o":{}}"#);
+        assert_eq!(
+            write(Layout::Flat),
+            "{\n  \"n\": 1,\n  \"s\": \"a\\\"b\",\n  \"x\": 2,\n  \"y\": 3,\n  \"o\": {}\n}\n"
+        );
+        for layout in [Layout::Compact, Layout::Flat] {
+            let doc = parse(&write(layout)).unwrap();
+            assert_eq!(doc.get("s").and_then(Json::as_str), Some("a\"b"));
+            assert_eq!(doc.keys(), vec!["n", "s", "x", "y", "o"]);
+        }
     }
 }
